@@ -3,12 +3,16 @@
 Clips are canonicalized to mono float64 in [-1, 1]. Integer PCM is scaled by
 2**(bits-1), so a 16-bit sample of 32767 maps to 32767/32768. Analysis
 elsewhere assumes the canonical 11025 Hz rate; `resample` gets clips there.
+
+Decoding holds the file bytes and the mono output, plus a few MB of
+per-block temporaries however long the clip is.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import uuid
 import wave
 from dataclasses import dataclass
 
@@ -25,6 +29,15 @@ _HALF_LEN_FACTOR = 10
 _KAISER_BETA = 8.6
 _CUTOFF_FRACTION = 0.45
 
+# Sample frames decoded per block. Each block's integer and float
+# temporaries take at most a few MB, whatever the clip length.
+DECODE_BLOCK_FRAMES = 1 << 16
+
+_FORMAT_PCM = 1
+_FORMAT_EXTENSIBLE = 0xFFFE
+# KSDATAFORMAT_SUBTYPE_PCM as stored in the file (GUID fields little-endian)
+_PCM_SUBFORMAT = uuid.UUID("00000001-0000-0010-8000-00aa00389b71").bytes_le
+
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -40,8 +53,12 @@ class AudioClip:
             raise InputError("AudioClip samples must be one-dimensional")
         if self.sample_rate <= 0:
             raise InputError("sample_rate must be positive")
-        if x.size and float(np.max(np.abs(x))) > 1.0 + 1e-9:
-            raise InputError("AudioClip samples must lie within [-1, 1]")
+        # min/max rather than abs(x): no full-length temporary. NaN
+        # propagates through both and fails the comparison.
+        if x.size and not (
+            -1.0 - 1e-9 <= float(x.min()) and float(x.max()) <= 1.0 + 1e-9
+        ):
+            raise InputError("AudioClip samples must be finite and lie within [-1, 1]")
         x.setflags(write=False)
         object.__setattr__(self, "samples", x)
 
@@ -50,27 +67,58 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-def _find_chunks(data: bytes) -> dict[bytes, bytes]:
+def _find_chunks(data: bytes) -> dict[bytes, memoryview]:
+    """First body of each chunk id, as views into `data` (no copies)."""
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavReadError("not a RIFF/WAVE file")
-    chunks: dict[bytes, bytes] = {}
+    view = memoryview(data)
+    chunks: dict[bytes, memoryview] = {}
     pos = 12
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if cid not in chunks:
             chunks[cid] = body
         pos += 8 + size + (size & 1)  # chunk bodies are word-aligned
     return chunks
 
 
+def _decode_pcm(body: memoryview, bits: int, n_channels: int, n_frames: int) -> np.ndarray:
+    """Mono float64 samples of interleaved integer PCM.
+
+    Works through DECODE_BLOCK_FRAMES frames at a time. Each sample goes
+    integer -> float64 -> scaled by 2**(bits-1), then each frame's channels
+    are averaged, exactly as a whole-array decode would.
+    """
+    mono = np.empty(n_frames)
+    frame_size = (bits // 8) * n_channels
+    for start in range(0, n_frames, DECODE_BLOCK_FRAMES):
+        stop = min(start + DECODE_BLOCK_FRAMES, n_frames)
+        chunk = body[start * frame_size : stop * frame_size]
+        if bits == 8:
+            raw = np.frombuffer(chunk, dtype=np.uint8).astype(np.float64)
+            scaled = (raw - 128.0) / 128.0
+        elif bits == 16:
+            raw = np.frombuffer(chunk, dtype="<i2").astype(np.float64)
+            scaled = raw / 32768.0
+        else:  # 24-bit: assemble little-endian triplets and sign-extend
+            b = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+            val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+            val -= (val & 0x800000) << 1
+            scaled = val.astype(np.float64) / float(1 << 23)
+        mono[start:stop] = scaled.reshape(-1, n_channels).mean(axis=1)
+    return mono
+
+
 def load_wav(path: str, source_id: str | None = None) -> AudioClip:
     """Decode a linear PCM WAV file (8/16/24-bit, mono or multichannel).
 
-    Multichannel audio is averaged down to mono after scaling. Raises
-    WavReadError for unreadable containers, NonPcmError for unsupported
-    encodings and EmptyAudioError when the data chunk holds no samples.
+    Plain PCM (format 1) and WAVE_FORMAT_EXTENSIBLE with the PCM SubFormat
+    are read. Multichannel audio is averaged down to mono after scaling.
+    Raises WavReadError for unreadable containers, NonPcmError for
+    unsupported encodings and EmptyAudioError when the data chunk holds no
+    samples.
     """
     try:
         with open(path, "rb") as fh:
@@ -87,7 +135,15 @@ def load_wav(path: str, source_id: str | None = None) -> AudioClip:
     audio_format, n_channels, rate, _, block_align, bits = struct.unpack_from(
         "<HHIIHH", fmt
     )
-    if audio_format != 1:
+    if audio_format == _FORMAT_EXTENSIBLE:
+        # cbSize, then wValidBitsPerSample, dwChannelMask and the SubFormat
+        # GUID; samples sit in containers of `bits`, so valid bits and the
+        # channel mask do not change the decode.
+        if len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
+            raise WavReadError(f"{path}: extensible fmt chunk truncated")
+        if bytes(fmt[24:40]) != _PCM_SUBFORMAT:
+            raise NonPcmError(f"{path}: extensible WAV SubFormat is not linear PCM")
+    elif audio_format != _FORMAT_PCM:
         raise NonPcmError(f"{path}: WAV format code {audio_format} is not linear PCM")
     if bits not in (8, 16, 24):
         raise NonPcmError(f"{path}: {bits}-bit PCM is not supported")
@@ -95,29 +151,14 @@ def load_wav(path: str, source_id: str | None = None) -> AudioClip:
         raise WavReadError(f"{path}: malformed fmt chunk")
 
     body = chunks[b"data"]
-    bytes_per_sample = bits // 8
-    frame_size = bytes_per_sample * n_channels
+    frame_size = (bits // 8) * n_channels
     if block_align and block_align != frame_size:
         raise WavReadError(f"{path}: block alignment does not match sample layout")
     n_frames = len(body) // frame_size
     if n_frames == 0:
         raise EmptyAudioError(f"{path}: zero-length data chunk")
-    body = body[: n_frames * frame_size]
 
-    if bits == 8:
-        raw = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
-        scaled = (raw - 128.0) / 128.0
-    elif bits == 16:
-        raw = np.frombuffer(body, dtype="<i2").astype(np.float64)
-        scaled = raw / 32768.0
-    else:  # 24-bit: assemble little-endian triplets and sign-extend
-        b = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        val -= (val & 0x800000) << 1
-        scaled = val.astype(np.float64) / float(1 << 23)
-
-    frames = scaled.reshape(n_frames, n_channels)
-    mono = frames.mean(axis=1)
+    mono = _decode_pcm(body, bits, n_channels, n_frames)
     sid = source_id if source_id is not None else path
     return AudioClip(samples=mono, sample_rate=int(rate), source_id=sid)
 

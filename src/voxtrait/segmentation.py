@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, rfft
 
 from . import acoustics
@@ -27,6 +29,10 @@ NUCLEUS_DROP_DB = 6.0
 MIN_VOWEL_DURATION_S = 0.030
 MIN_NUCLEUS_SEPARATION_S = 0.060
 SPEECH_FLOOR_DROP_DB = 20.0
+
+# Frames scored per block by analyze_frames. At the default 276-sample
+# frames and 512-point FFT a block's working arrays take about 20 MB.
+FRAME_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,38 @@ class SegmentationResult:
         return tuple(v for v in self.vowels if v.stressed)
 
 
+def _score_frames(
+    frames: np.ndarray, lo: int, hi: int, nfft: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(energy dB, voicing strength) of each row of a (n, flen) frame array."""
+    n, flen = frames.shape
+    sq = frames * frames
+    mean_sq = sq.mean(axis=1)
+    energy = np.full(n, acoustics.SILENCE_FLOOR_DB)
+    audible = mean_sq > 1e-12
+    energy[audible] = np.maximum(
+        10.0 * np.log10(mean_sq[audible]), acoustics.SILENCE_FLOOR_DB
+    )
+
+    spec = rfft(frames, nfft, axis=1)
+    # conj(spec) * spec in that order, whatever the block size: numpy's
+    # complex multiply is not bitwise commutative, and the benchmark
+    # fingerprint was recorded with this order.
+    power = np.conj(spec)
+    power *= spec
+    ac = irfft(power, nfft, axis=1)[:, : hi + 1]
+    csum = np.cumsum(sq, axis=1)
+    total = csum[:, -1][:, None]
+    lags = np.arange(hi + 1)
+    head = csum[:, flen - 1 - lags]
+    tail = total - np.concatenate((np.zeros((n, 1)), csum[:, :hi]), axis=1)
+    denom = np.sqrt(head * tail)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ncc = np.where(denom > 1e-30, ac / np.maximum(denom, 1e-30), 0.0)
+    strength = np.clip(ncc[:, lo : hi + 1], -1.0, 1.0).max(axis=1)
+    return energy, strength
+
+
 def analyze_frames(
     clip: AudioClip,
     frame_length: float = acoustics.SUBFRAME_LENGTH_S,
@@ -116,7 +154,9 @@ def analyze_frames(
 
     Voicing strength is the peak normalized autocorrelation in the pitch lag
     range; a frame is voiced when it reaches the threshold. Digital silence
-    scores 0 and lands at the -120 dB energy floor.
+    scores 0 and lands at the -120 dB energy floor. Frames are strided
+    views of the clip, scored FRAME_BLOCK at a time, so working memory does
+    not grow with clip length.
     """
     rate = clip.sample_rate
     flen = int(round(frame_length * rate))
@@ -128,34 +168,17 @@ def analyze_frames(
         raise ClipTooShortError(
             f"clip of {x.size} samples is shorter than one {flen}-sample frame"
         )
-    n_frames = (x.size - flen) // hop_s + 1
-    idx = np.arange(flen)[None, :] + hop_s * np.arange(n_frames)[:, None]
-    frames = x[idx]
-
-    sq = frames * frames
-    mean_sq = sq.mean(axis=1)
-    energy = np.full(n_frames, acoustics.SILENCE_FLOOR_DB)
-    audible = mean_sq > 1e-12
-    energy[audible] = np.maximum(
-        10.0 * np.log10(mean_sq[audible]), acoustics.SILENCE_FLOOR_DB
-    )
+    frames = sliding_window_view(x, flen)[::hop_s]
+    n_frames = frames.shape[0]
 
     lo = max(2, int(math.ceil(rate / f0_ceiling)))
     hi = min(int(math.floor(rate / f0_floor)), flen - 8)
     nfft = 1 << int(flen + hi).bit_length()
-    spec = rfft(frames, nfft, axis=1)
-    ac = irfft(spec * np.conj(spec), nfft, axis=1)[:, : hi + 1]
-    csum = np.cumsum(sq, axis=1)
-    total = csum[:, -1][:, None]
-    lags = np.arange(hi + 1)
-    head = csum[:, flen - 1 - lags]
-    tail = total - np.concatenate(
-        (np.zeros((n_frames, 1)), csum[:, :hi]), axis=1
-    )
-    denom = np.sqrt(head * tail)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ncc = np.where(denom > 1e-30, ac / np.maximum(denom, 1e-30), 0.0)
-    strength = np.clip(ncc[:, lo : hi + 1], -1.0, 1.0).max(axis=1)
+    energy = np.empty(n_frames)
+    strength = np.empty(n_frames)
+    for a in range(0, n_frames, FRAME_BLOCK):
+        b = min(a + FRAME_BLOCK, n_frames)
+        energy[a:b], strength[a:b] = _score_frames(frames[a:b], lo, hi, nfft)
 
     return FrameTrack(
         sample_rate=rate,
@@ -215,12 +238,15 @@ def detect_vowels(
 
     min_sep_frames = max(1, int(round(min_separation / hop)))
     claimed = np.zeros(n, dtype=bool)
-    accepted: list[int] = []
+    accepted: list[int] = []  # sorted; only the neighbours of c can be too close
     spans: list[tuple[int, int]] = []
     for c in order:
         if claimed[c]:
             continue
-        if any(abs(c - a) < min_sep_frames for a in accepted):
+        i = bisect_left(accepted, c)
+        if (i < len(accepted) and accepted[i] - c < min_sep_frames) or (
+            i > 0 and c - accepted[i - 1] < min_sep_frames
+        ):
             continue
         floor = energy[c] - nucleus_drop_db
         a = c
@@ -230,7 +256,7 @@ def detect_vowels(
         while b + 1 < n and voiced[b + 1] and energy[b + 1] >= floor and not claimed[b + 1]:
             b += 1
         claimed[a : b + 1] = True
-        accepted.append(c)
+        insort(accepted, c)
         spans.append((a, b))
 
     segments = []
@@ -323,10 +349,28 @@ def segment_clip(clip: AudioClip, config: RunConfig | None = None) -> Segmentati
         min_duration=cfg.pause_min_duration,
         speech_floor_drop_db=cfg.speech_floor_drop_db,
     )
-    pauses = []
-    for p in raw_pauses:
+    return SegmentationResult(
+        vowels=tuple(vowels),
+        pauses=tuple(_trim_pauses(raw_pauses, vowels, cfg.pause_min_duration)),
+        total_duration=clip.duration,
+    )
+
+
+def _trim_pauses(
+    pauses: list[PauseSegment], vowels: list[VowelSegment], min_duration: float
+) -> list[PauseSegment]:
+    """Pull pause boundaries off the vowels that poke into them.
+
+    `vowels` must be disjoint and sorted by start, as detect_vowels returns
+    them, so their ends are sorted too and two bisections find the vowels
+    that overlap a pause. Trimmed pauses shorter than min_duration go.
+    """
+    starts = [v.start for v in vowels]
+    ends = [v.end for v in vowels]
+    out = []
+    for p in pauses:
         start, end = p.start, p.end
-        for v in vowels:
+        for v in vowels[bisect_right(ends, start) : bisect_left(starts, end)]:
             if v.end <= start or v.start >= end:
                 continue
             # vowel pokes into this pause from one side; push the boundary
@@ -334,13 +378,9 @@ def segment_clip(clip: AudioClip, config: RunConfig | None = None) -> Segmentati
                 start = max(start, v.end)
             else:
                 end = min(end, v.start)
-        if end - start >= cfg.pause_min_duration:
-            pauses.append(PauseSegment(start=start, end=end))
-    return SegmentationResult(
-        vowels=tuple(vowels),
-        pauses=tuple(pauses),
-        total_duration=clip.duration,
-    )
+        if end - start >= min_duration:
+            out.append(PauseSegment(start=start, end=end))
+    return out
 
 
 def write_segments_csv(path: str, result: SegmentationResult) -> None:

@@ -308,3 +308,117 @@ PUBLISHED_COSINES = {
     0.01: {("1->2", "1->3"): 0.71, ("1->2", "2->3"): 0.26, ("1->3", "2->3"): 0.53},
     0.05: {("1->2", "1->3"): 0.58, ("1->2", "2->3"): 0.00, ("1->3", "2->3"): 0.54},
 }
+
+
+# Whole-array forms of code the package now runs in blocks or with bisection.
+# Kept verbatim so the bounded-memory and sub-quadratic versions can be
+# checked bit for bit against them.
+
+
+def decode_pcm_reference(body: bytes, bits: int, n_channels: int) -> np.ndarray:
+    """Mono float64 samples of a whole interleaved integer-PCM data chunk."""
+    n_frames = len(body) // (bits // 8 * n_channels)
+    body = body[: n_frames * (bits // 8) * n_channels]
+    if bits == 8:
+        raw = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
+        scaled = (raw - 128.0) / 128.0
+    elif bits == 16:
+        raw = np.frombuffer(body, dtype="<i2").astype(np.float64)
+        scaled = raw / 32768.0
+    else:  # 24-bit: assemble little-endian triplets and sign-extend
+        b = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        val -= (val & 0x800000) << 1
+        scaled = val.astype(np.float64) / float(1 << 23)
+    return scaled.reshape(n_frames, n_channels).mean(axis=1)
+
+
+def analyze_frames_reference(
+    x, rate, frame_length=0.025, hop=0.010, f0_floor=75.0, f0_ceiling=500.0
+):
+    """(energy dB, voicing strength) per frame, all frames in one array."""
+    from scipy.fft import irfft, rfft
+
+    flen = int(round(frame_length * rate))
+    hop_s = int(round(hop * rate))
+    n_frames = (x.size - flen) // hop_s + 1
+    idx = np.arange(flen)[None, :] + hop_s * np.arange(n_frames)[:, None]
+    frames = x[idx]
+
+    sq = frames * frames
+    mean_sq = sq.mean(axis=1)
+    energy = np.full(n_frames, -120.0)
+    audible = mean_sq > 1e-12
+    energy[audible] = np.maximum(10.0 * np.log10(mean_sq[audible]), -120.0)
+
+    lo = max(2, int(math.ceil(rate / f0_ceiling)))
+    hi = min(int(math.floor(rate / f0_floor)), flen - 8)
+    nfft = 1 << int(flen + hi).bit_length()
+    spec = rfft(frames, nfft, axis=1)
+    # numpy evaluates `spec * np.conj(spec)` in place in the conj temporary
+    # once it reaches 256 KiB (64 frames at nfft 512), i.e. as
+    # conj(spec) * spec. The order is written out so that short clips get
+    # it too.
+    power = np.conj(spec)
+    power *= spec
+    ac = irfft(power, nfft, axis=1)[:, : hi + 1]
+    csum = np.cumsum(sq, axis=1)
+    total = csum[:, -1][:, None]
+    lags = np.arange(hi + 1)
+    head = csum[:, flen - 1 - lags]
+    tail = total - np.concatenate((np.zeros((n_frames, 1)), csum[:, :hi]), axis=1)
+    denom = np.sqrt(head * tail)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ncc = np.where(denom > 1e-30, ac / np.maximum(denom, 1e-30), 0.0)
+    strength = np.clip(ncc[:, lo : hi + 1], -1.0, 1.0).max(axis=1)
+    return energy, strength
+
+
+def vowel_spans_reference(energy, voiced, min_sep_frames, nucleus_drop_db):
+    """[first, last] frame spans grown from nuclei, in acceptance order.
+
+    Every candidate nucleus is checked against every accepted one.
+    """
+    n = energy.size
+    is_peak = voiced.copy()
+    if n > 1:
+        is_peak[1:] &= energy[1:] >= energy[:-1]
+        is_peak[:-1] &= energy[:-1] >= energy[1:]
+    candidates = np.flatnonzero(is_peak)
+    order = candidates[np.argsort(-energy[candidates], kind="stable")]
+    claimed = np.zeros(n, dtype=bool)
+    accepted = []
+    spans = []
+    for c in order:
+        if claimed[c]:
+            continue
+        if any(abs(c - a) < min_sep_frames for a in accepted):
+            continue
+        floor = energy[c] - nucleus_drop_db
+        a = c
+        while a - 1 >= 0 and voiced[a - 1] and energy[a - 1] >= floor and not claimed[a - 1]:
+            a -= 1
+        b = c
+        while b + 1 < n and voiced[b + 1] and energy[b + 1] >= floor and not claimed[b + 1]:
+            b += 1
+        claimed[a : b + 1] = True
+        accepted.append(c)
+        spans.append((a, b))
+    return spans
+
+
+def trim_pauses_reference(pauses, vowels, min_duration):
+    """(start, end) of each pause trimmed against every (start, end) vowel."""
+    out = []
+    for p_start, p_end in pauses:
+        start, end = p_start, p_end
+        for v_start, v_end in vowels:
+            if v_end <= start or v_start >= end:
+                continue
+            if 0.5 * (v_start + v_end) <= start:
+                start = max(start, v_end)
+            else:
+                end = min(end, v_start)
+        if end - start >= min_duration:
+            out.append((start, end))
+    return out

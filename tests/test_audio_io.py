@@ -4,14 +4,23 @@ import math
 import os
 import struct
 import tempfile
+import uuid
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxtrait.audio_io import AudioClip, load_wav, resample, write_wav
+from voxtrait.audio_io import (
+    DECODE_BLOCK_FRAMES,
+    AudioClip,
+    load_wav,
+    resample,
+    write_wav,
+)
 from voxtrait.errors import EmptyAudioError, InputError, NonPcmError, WavReadError
+
+from oracles import decode_pcm_reference
 
 RATE = 11025
 
@@ -37,6 +46,12 @@ def test_clip_validation():
         AudioClip(np.zeros((2, 3)), RATE)
     with pytest.raises(InputError):
         AudioClip(np.array([2.0]), RATE)
+    with pytest.raises(InputError):
+        AudioClip(np.array([-1.5, 0.0]), RATE)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            AudioClip(np.array([0.1, bad]), RATE)
+    assert AudioClip(np.array([-1.0, 1.0]), RATE).samples.size == 2
     with pytest.raises(InputError):
         AudioClip(np.zeros(4), 0)
     clip = AudioClip(np.zeros(RATE), RATE)
@@ -112,6 +127,70 @@ def test_rejects_non_pcm_and_bad_depths(tmp_path):
     p2.write_bytes(_riff(_fmt(1, 1, RATE, 32), b"\x00" * 8))
     with pytest.raises(NonPcmError):
         load_wav(str(p2))
+
+
+_PCM_GUID = uuid.UUID("00000001-0000-0010-8000-00aa00389b71").bytes_le
+_FLOAT_GUID = uuid.UUID("00000003-0000-0010-8000-00aa00389b71").bytes_le
+
+
+def _fmt_extensible(channels, rate, bits, guid, cb_size=22):
+    ext = struct.pack("<HI", bits, (1 << channels) - 1) + guid
+    return _fmt(0xFFFE, channels, rate, bits) + struct.pack("<H", cb_size) + ext
+
+
+@pytest.mark.parametrize("channels,bits", [(1, 16), (2, 16), (2, 24), (1, 8)])
+def test_extensible_pcm_matches_plain_pcm(tmp_path, channels, bits):
+    body = np.random.default_rng(bits + channels).bytes(channels * (bits // 8) * 500)
+    plain = tmp_path / "plain.wav"
+    plain.write_bytes(_riff(_fmt(1, channels, RATE, bits), body))
+    ext = tmp_path / "ext.wav"
+    ext.write_bytes(_riff(_fmt_extensible(channels, RATE, bits, _PCM_GUID), body))
+    a, b = load_wav(str(plain)), load_wav(str(ext))
+    assert b.sample_rate == RATE
+    assert np.array_equal(a.samples, b.samples)
+
+
+def test_extensible_rejects_other_subformats_and_truncation(tmp_path):
+    p = tmp_path / "ext.wav"
+    p.write_bytes(_riff(_fmt_extensible(1, RATE, 32, _FLOAT_GUID), b"\x00" * 8))
+    with pytest.raises(NonPcmError):
+        load_wav(str(p))
+    p.write_bytes(_riff(_fmt_extensible(1, RATE, 32, _PCM_GUID), b"\x00" * 8))
+    with pytest.raises(NonPcmError):  # 32-bit integer PCM stays unsupported
+        load_wav(str(p))
+    full = _fmt_extensible(1, RATE, 16, _PCM_GUID)
+    for fmt in (
+        full[:16],  # no cbSize
+        full[:30],  # GUID cut short
+        _fmt_extensible(1, RATE, 16, _PCM_GUID, cb_size=0),
+    ):
+        p.write_bytes(_riff(fmt, b"\x00" * 8))
+        with pytest.raises(WavReadError):
+            load_wav(str(p))
+    misaligned = struct.pack("<HHIIHH", 0xFFFE, 1, RATE, 4 * RATE, 4, 16) + full[16:]
+    p.write_bytes(_riff(misaligned, b"\x00" * 8))
+    with pytest.raises(WavReadError):  # block align of 4 for one 16-bit channel
+        load_wav(str(p))
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_block_decode_matches_whole_array_decode(tmp_path, bits, channels):
+    frame = channels * (bits // 8)
+    rng = np.random.default_rng(bits * 10 + channels)
+    path = tmp_path / "blocks.wav"
+    for n_frames, tail in (
+        (1, 0),
+        (DECODE_BLOCK_FRAMES - 1, 0),
+        (DECODE_BLOCK_FRAMES, 0),
+        (DECODE_BLOCK_FRAMES + 1, 0),
+        (2 * DECODE_BLOCK_FRAMES + 17, frame - 1),  # trailing partial frame
+    ):
+        body = rng.bytes(n_frames * frame + tail)
+        path.write_bytes(_riff(_fmt(1, channels, RATE, bits), body))
+        got = load_wav(str(path)).samples
+        assert got.size == n_frames
+        assert np.array_equal(got, decode_pcm_reference(body, bits, channels))
 
 
 def test_rejects_broken_containers(tmp_path):

@@ -2,13 +2,17 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxtrait.audio_io import AudioClip
 from voxtrait.errors import ClipTooShortError, InputError
 from voxtrait.segmentation import (
+    FRAME_BLOCK,
     PAUSE_MIN_DURATION_S,
     FrameTrack,
     PauseSegment,
@@ -20,7 +24,10 @@ from voxtrait.segmentation import (
     segment_clip,
     select_stressed,
     write_segments_csv,
+    _trim_pauses,
 )
+
+from oracles import analyze_frames_reference, trim_pauses_reference, vowel_spans_reference
 
 RATE = 11025
 HOP = 110  # round(0.010 * 11025)
@@ -156,3 +163,93 @@ def test_segments_csv_round_trip(tmp_path):
     assert [r[0] for r in rows[1:]] == ["vowel", "pause", "vowel"]
     assert float(rows[1][1]) == 0.1 and int(rows[1][3]) == 1
     assert float(rows[2][2]) == 0.9
+
+
+def _speechlike(n: int, seed: int) -> np.ndarray:
+    """Tone bursts in noise with stretches of digital silence."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / RATE
+    x = 0.3 * np.sin(2.0 * math.pi * 140.0 * t) * (np.sin(2.0 * math.pi * 0.7 * t) > 0)
+    x += 0.02 * rng.standard_normal(n)
+    x[n // 3 : n // 3 + 2000] = 0.0
+    return np.clip(x, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "n_frames",
+    [1, 2, 63, 64, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 3 * FRAME_BLOCK + 5],
+)
+def test_block_analysis_matches_whole_array(n_frames):
+    x = _speechlike(276 + HOP * (n_frames - 1), seed=n_frames)
+    track = analyze_frames(AudioClip(x, RATE))
+    energy, strength = analyze_frames_reference(x, RATE)
+    assert track.n_frames == n_frames
+    assert np.array_equal(track.energy_db, energy)
+    assert np.array_equal(track.voicing_strength, strength)
+
+
+def test_frame_analysis_memory_does_not_grow_with_clip_length():
+    def peak(minutes: int) -> int:
+        clip = AudioClip(_speechlike(minutes * 60 * RATE, seed=minutes), RATE)
+        tracemalloc.start()
+        try:
+            analyze_frames(clip)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < 1.25 * peak(2)
+
+
+@st.composite
+def _frame_tracks(draw):
+    n = draw(st.integers(1, 120))
+    # a coarse energy grid makes ties and plateaus common
+    energy = np.array(draw(st.lists(st.integers(-12, 0), min_size=n, max_size=n)), float)
+    voiced = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    track = FrameTrack(
+        sample_rate=RATE,
+        frame_length_samples=276,
+        hop_samples=HOP,
+        energy_db=3.0 * energy,
+        voicing_strength=voiced.astype(float),
+        voiced=voiced,
+    )
+    return track, draw(st.integers(1, 12)), draw(st.sampled_from([3.0, 6.0, 20.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frame_tracks())
+def test_detect_vowels_matches_all_pairs_spacing_check(case):
+    track, sep_frames, drop_db = case
+    hop = track.hop
+    got = detect_vowels(
+        track, nucleus_drop_db=drop_db, min_duration=0.0, min_separation=sep_frames * hop
+    )
+    spans = vowel_spans_reference(track.energy_db, track.voiced, sep_frames, drop_db)
+    want = sorted((a * hop, (b + 1) * hop) for a, b in spans)
+    assert [(v.start, v.end) for v in got] == want
+
+
+@st.composite
+def _vowels_and_pauses(draw):
+    cuts = sorted(set(draw(st.lists(st.integers(0, 400), max_size=40))))
+    # consecutive cut pairs: disjoint, sorted, possibly touching vowels
+    pairs = list(zip(cuts[::2], cuts[1::2]))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    vowels = [VowelSegment(0.01 * a, 0.01 * b) for (a, b), k in zip(pairs, keep) if k]
+    pauses = []
+    for a, length in draw(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 120)))):
+        pauses.append(PauseSegment(0.01 * a, 0.01 * (a + length)))
+    return vowels, pauses, draw(st.sampled_from([0.01, 0.2, 0.4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vowels_and_pauses())
+def test_pause_trimming_matches_all_vowels_scan(case):
+    vowels, pauses, min_duration = case
+    got = _trim_pauses(pauses, vowels, min_duration)
+    want = trim_pauses_reference(
+        [(p.start, p.end) for p in pauses], [(v.start, v.end) for v in vowels], min_duration
+    )
+    assert [(p.start, p.end) for p in got] == want
