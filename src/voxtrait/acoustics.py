@@ -132,6 +132,20 @@ def ncc_curve(x: np.ndarray, max_lag: int) -> np.ndarray:
 _OCTAVE_MARGIN = 0.01
 
 
+def _parabolic(y0: float, y1: float, y2: float) -> tuple[float, float] | None:
+    """(offset, peak) of the parabola through three equally spaced points.
+
+    offset is the vertex position relative to y1, clipped to +-0.5. None
+    unless y1 is a local maximum and the points are not collinear.
+    """
+    y0, y1, y2 = float(y0), float(y1), float(y2)
+    denom = y0 - 2.0 * y1 + y2
+    if not (abs(denom) > _TINY and y1 >= y0 and y1 >= y2):
+        return None
+    delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+    return delta, y1 - 0.25 * (y0 - y2) * delta
+
+
 def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
     """Best lag (parabolic-refined) and its strength within [lo, hi]."""
     hi = min(hi, curve.size - 1)
@@ -153,11 +167,9 @@ def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
             strength = float(curve[best])
     lag = float(best)
     if lo < best < hi:
-        y0, y1, y2 = curve[best - 1], curve[best], curve[best + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if abs(denom) > _TINY:
-            delta = 0.5 * (y0 - y2) / denom
-            lag += float(np.clip(delta, -0.5, 0.5))
+        vertex = _parabolic(curve[best - 1], curve[best], curve[best + 1])
+        if vertex is not None:
+            lag += vertex[0]
     return lag, strength
 
 
@@ -270,12 +282,10 @@ def mark_cycles(
         pos = float(m)
         amp = float(y[m])
         if 1 <= m < y.size - 1:
-            y0, y1, y2 = float(y[m - 1]), float(y[m]), float(y[m + 1])
-            denom = y0 - 2.0 * y1 + y2
-            if abs(denom) > _TINY and y1 >= y0 and y1 >= y2:
-                delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
-                pos = m + delta
-                amp = y1 - 0.25 * (y0 - y2) * delta
+            vertex = _parabolic(y[m - 1], y[m], y[m + 1])
+            if vertex is not None:
+                pos = m + vertex[0]
+                amp = vertex[1]
         positions.append(pos)
         amplitudes.append(amp)
     periods = np.diff(np.asarray(positions)) / sample_rate
@@ -356,11 +366,9 @@ def harmonicity_db(samples: np.ndarray, f0: float, sample_rate: int) -> float | 
     # fractional pitch lags push the true correlation peak between integer
     # lags; refine the peak value or a clean tone cannot reach the clamp
     if 1 <= idx < curve.size - 1:
-        y0, y1, y2 = float(curve[idx - 1]), float(curve[idx]), float(curve[idx + 1])
-        denom = y0 - 2.0 * y1 + y2
-        if abs(denom) > _TINY and y1 >= y0 and y1 >= y2:
-            delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
-            r = y1 - 0.25 * (y0 - y2) * delta
+        vertex = _parabolic(curve[idx - 1], curve[idx], curve[idx + 1])
+        if vertex is not None:
+            r = vertex[1]
     if r <= 0.0:
         return HNR_MIN_DB
     if r >= 1.0:

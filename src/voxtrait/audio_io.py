@@ -59,6 +59,8 @@ class AudioClip:
             -1.0 - 1e-9 <= float(x.min()) and float(x.max()) <= 1.0 + 1e-9
         ):
             raise InputError("AudioClip samples must be finite and lie within [-1, 1]")
+        # Read-only through a view, so the caller's own array stays writable.
+        x = x.view()
         x.setflags(write=False)
         object.__setattr__(self, "samples", x)
 
@@ -216,5 +218,5 @@ def resample(clip: AudioClip, target_rate: int = TARGET_RATE) -> AudioClip:
     out = y[start : start + n_out]
     if out.size < n_out:  # guard; cannot happen for half >= down
         out = np.pad(out, (0, n_out - out.size))
-    out = np.clip(out, -1.0, 1.0)
+    np.clip(out, -1.0, 1.0, out=out)
     return AudioClip(out, target_rate, clip.source_id)

@@ -22,13 +22,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .audio_io import load_wav, resample
 from .config import RunConfig, load_config
-from .errors import InputError, StatsError, TableFormatError
+from .csvio import finite, read_csv
+from .errors import DuplicateKeyError, InputError, StatsError, TableFormatError
 from .features import (
     FEATURE_NAMES,
+    SESSIONS,
     FeatureTable,
     FeatureVector,
-    build_table,
     extract_features,
+    measure_vowels,
     read_table_csv,
     write_table_csv,
 )
@@ -59,8 +61,6 @@ EXIT_STATS = 3
 EXIT_PARTIAL = 4
 EXIT_UNSTABLE = 5
 
-_SESSION_SET = {"S1", "S2", "S3"}
-
 
 def _emit_run_config(command: str, cfg: RunConfig, out_path: str | None) -> None:
     doc = {"command": command, "config": cfg.to_dict()}
@@ -89,28 +89,25 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def read_manifest(path: str) -> list[tuple[str, str, str]]:
-    """Rows of (wav path, speaker_id, session); paths relative to the manifest."""
+    """Rows of (wav path, speaker_id, session); paths relative to the manifest.
+
+    Each (speaker_id, session) may appear on one line only.
+    """
     base = os.path.dirname(os.path.abspath(path))
     rows: list[tuple[str, str, str]] = []
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["path", "speaker_id", "session"]:
-                raise TableFormatError(f"{path}: unexpected manifest header")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise TableFormatError(f"{path}:{lineno}: wrong column count")
-                wav, speaker, session = row
-                if session not in _SESSION_SET:
-                    raise TableFormatError(f"{path}:{lineno}: unknown session {session!r}")
-                if not os.path.isabs(wav):
-                    wav = os.path.join(base, wav)
-                rows.append((wav, speaker, session))
-    except OSError as exc:
-        raise InputError(f"cannot read manifest {path}: {exc}") from exc
+    first_line: dict[tuple[str, str], int] = {}
+
+    def parse(line: int, cells: list[str]) -> None:
+        wav, speaker, session = cells
+        if session not in SESSIONS:
+            raise TableFormatError(f"unknown session {session!r}")
+        key = (speaker, session)
+        if key in first_line:
+            raise DuplicateKeyError(f"duplicate row for {key}, first on line {first_line[key]}")
+        first_line[key] = line
+        rows.append((os.path.join(base, wav), speaker, session))
+
+    read_csv(path, ["path", "speaker_id", "session"], parse)
     return rows
 
 
@@ -151,8 +148,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 sys.stderr.write(f"warning: {job[0]}: {exc}\n")
                 failures += 1
                 results.append(None)
-    entries = [r for r in results if r is not None]
-    table = build_table(entries)
+    table = FeatureTable()
+    for result in results:
+        if result is not None:
+            table.add(*result)
     write_table_csv(args.out, table)
     _emit_run_config("extract", cfg, args.out)
     if manifest and failures == len(manifest):
@@ -248,22 +247,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _read_stats_csv(path: str) -> dict[str, tuple[float, float]]:
     stats: dict[str, tuple[float, float]] = {}
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["feature", "mean", "std"]:
-                raise TableFormatError(f"{path}: unexpected statistics CSV header")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise TableFormatError(f"{path}:{lineno}: wrong column count")
-                stats[row[0]] = (float(row[1]), float(row[2]))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise TableFormatError(f"{path}: non-numeric statistics: {exc}") from exc
+
+    def parse(line: int, cells: list[str]) -> None:
+        stats[cells[0]] = (finite(cells[1]), finite(cells[2]))
+
+    read_csv(path, ["feature", "mean", "std"], parse)
     return stats
 
 
@@ -337,16 +325,7 @@ def cmd_synth_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_windows(args: argparse.Namespace) -> int:
-    """Per-stressed-vowel dump of the measures behind the aggregates."""
-    import numpy as np
-
-    from .acoustics import (
-        analyze_prosody_window,
-        analyze_quality_window,
-        analyze_spectral_window,
-    )
-    from .features import _window
-
+    """Per-stressed-vowel dump of the measures that extract aggregates."""
     cfg = _config_from_args(args)
     clip = load_wav(args.wav)
     clip = resample(clip, cfg.sample_rate)
@@ -360,26 +339,10 @@ def cmd_windows(args: argparse.Namespace) -> int:
     def fmt(v):
         return "" if v is None else f"{v:.4f}"
 
-    for vowel in seg.stressed:
-        pw_samples = _window(clip.samples, cfg.sample_rate, vowel.center, cfg.prosody_window)
-        if pw_samples.size < int(round(cfg.frame_length * cfg.sample_rate)):
+    for vowel, prosody, quality, spectral in measure_vowels(clip, seg, cfg):
+        if prosody is None:
             continue
-        prosody = analyze_prosody_window(
-            pw_samples,
-            cfg.sample_rate,
-            vowel.center,
-            f0_floor=cfg.f0_floor,
-            f0_ceiling=cfg.f0_ceiling,
-            voicing_threshold=cfg.voicing_threshold,
-        )
-        voiced = prosody.voiced_f0
-        f0_med = float(np.median(voiced)) if voiced else None
-        quality = analyze_quality_window(pw_samples, cfg.sample_rate, vowel.center, f0_med)
-        sw_samples = _window(clip.samples, cfg.sample_rate, vowel.center, cfg.spectral_window)
-        formants: tuple[float | None, ...] = (None, None, None)
-        if sw_samples.size >= int(round(cfg.spectral_window * cfg.sample_rate)):
-            spectral = analyze_spectral_window(sw_samples, cfg.sample_rate, vowel.center)
-            formants = spectral.formants
+        formants = (None, None, None) if spectral is None else spectral.formants
         writer.writerow(
             [f"{vowel.start:.3f}", f"{vowel.end:.3f}", fmt(prosody.f0_mean),
              f"{prosody.mean_intensity:.2f}", fmt(quality.jitter_local),
@@ -434,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--ratings", required=True)
     p.add_argument("--dv", required=True)
-    p.add_argument("--session", required=True, choices=sorted(_SESSION_SET))
+    p.add_argument("--session", required=True, choices=SESSIONS)
     p.add_argument("--rater-type", dest="rater_type", default="P")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
@@ -444,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--ratings", required=True)
-    p.add_argument("--session", required=True, choices=sorted(_SESSION_SET))
+    p.add_argument("--session", required=True, choices=SESSIONS)
     p.add_argument("--rater-type", dest="rater_type", default="P")
     _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
@@ -453,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--stats", help="feature,mean,std CSV; defaults to the table's own stats")
     p.add_argument("--dv")
-    p.add_argument("--session", choices=sorted(_SESSION_SET))
+    p.add_argument("--session", choices=SESSIONS)
     _add_config_flags(p)
     p.set_defaults(func=cmd_score)
 

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import acoustics
 from .audio_io import AudioClip
 from .config import RunConfig
-from .errors import DuplicateKeyError, InputError, TableFormatError
+from .csvio import finite, read_csv
+from .errors import DuplicateKeyError, InputError
 from .segmentation import SegmentationResult, segment_clip
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -105,17 +107,19 @@ class TableRow:
 
 @dataclass
 class FeatureTable:
-    """Feature vectors keyed by (speaker_id, session)."""
+    """Feature vectors keyed by (speaker_id, session), rows in insertion order."""
 
     rows: list[TableRow] = field(default_factory=list)
+    _index: dict[tuple[str, str], FeatureVector] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        seen = set()
         for row in self.rows:
             key = (row.speaker_id, row.session)
-            if key in seen:
+            if key in self._index:
                 raise DuplicateKeyError(f"duplicate row for {key}")
-            seen.add(key)
+            self._index[key] = row.features
 
     def add(self, speaker_id: str, session: str, features: FeatureVector) -> None:
         if session not in SESSIONS:
@@ -123,28 +127,13 @@ class FeatureTable:
         if self.get(speaker_id, session) is not None:
             raise DuplicateKeyError(f"duplicate row for {(speaker_id, session)}")
         self.rows.append(TableRow(speaker_id, session, features))
+        self._index[(speaker_id, session)] = features
 
     def get(self, speaker_id: str, session: str) -> FeatureVector | None:
-        for row in self.rows:
-            if row.speaker_id == speaker_id and row.session == session:
-                return row.features
-        return None
+        return self._index.get((speaker_id, session))
 
     def speakers(self) -> list[str]:
-        out = []
-        for row in self.rows:
-            if row.speaker_id not in out:
-                out.append(row.speaker_id)
-        return out
-
-
-def build_table(
-    entries: list[tuple[str, str, FeatureVector]],
-) -> FeatureTable:
-    table = FeatureTable()
-    for speaker_id, session, vector in entries:
-        table.add(speaker_id, session, vector)
-    return table
+        return list(dict.fromkeys(row.speaker_id for row in self.rows))
 
 
 def _std(values: list[float]) -> float | None:
@@ -182,6 +171,40 @@ def _window(x: np.ndarray, rate: int, center: float, length_s: float) -> np.ndar
     return x[lo:hi]
 
 
+def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> Iterator[tuple]:
+    """Yield (vowel, prosody, quality, spectral) for each stressed vowel.
+
+    The last three are the acoustics Prosody-, Quality- and SpectralWindow.
+    Prosody and voice quality are measured over a prosody_window centered on
+    the vowel, spectral measures over a spectral_window. A result is None
+    when the clip edge cuts its window below one frame (prosody, quality)
+    or below the full window (spectral).
+    """
+    x = clip.samples
+    rate = clip.sample_rate
+    flen_min = int(round(cfg.frame_length * rate))
+    spectral_len = int(round(cfg.spectral_window * rate))
+    for vowel in seg.stressed:
+        prosody = quality = spectral = None
+        pros_samples = _window(x, rate, vowel.center, cfg.prosody_window)
+        if pros_samples.size >= flen_min:
+            prosody = acoustics.analyze_prosody_window(
+                pros_samples,
+                rate,
+                vowel.center,
+                f0_floor=cfg.f0_floor,
+                f0_ceiling=cfg.f0_ceiling,
+                voicing_threshold=cfg.voicing_threshold,
+            )
+            voiced = prosody.voiced_f0
+            f0_med = float(np.median(voiced)) if voiced else None
+            quality = acoustics.analyze_quality_window(pros_samples, rate, vowel.center, f0_med)
+        spec_samples = _window(x, rate, vowel.center, cfg.spectral_window)
+        if spec_samples.size >= spectral_len:
+            spectral = acoustics.analyze_spectral_window(spec_samples, rate, vowel.center)
+        yield vowel, prosody, quality, spectral
+
+
 def extract_features(
     clip: AudioClip,
     config: RunConfig | None = None,
@@ -190,8 +213,8 @@ def extract_features(
     """Compute all 30 descriptors for one canonical-rate clip.
 
     Prosody and voice-quality measures use 80 ms windows at stressed vowel
-    centers, spectral measures 40 ms windows at the same centers. Pass a
-    precomputed segmentation to skip redoing it.
+    centers, spectral measures 40 ms windows at the same centers (see
+    measure_vowels). Pass a precomputed segmentation to skip redoing it.
     """
     cfg = config or RunConfig()
     if clip.sample_rate != cfg.sample_rate:
@@ -202,11 +225,6 @@ def extract_features(
         seg = segment_clip(clip, cfg)
     values: dict[str, float | None] = dict.fromkeys(FEATURE_NAMES)
     values.update(temporal_features(seg))
-
-    x = clip.samples
-    rate = clip.sample_rate
-    flen_min = int(round(cfg.frame_length * rate))
-    spectral_len = int(round(cfg.spectral_window * rate))
 
     pooled_f0: list[float] = []
     ranges: list[float] = []
@@ -223,26 +241,13 @@ def extract_features(
     }
     cep_rows: list[tuple[float, ...]] = []
 
-    for vowel in seg.stressed:
-        pros_samples = _window(x, rate, vowel.center, cfg.prosody_window)
-        if pros_samples.size >= flen_min:
-            pw = acoustics.analyze_prosody_window(
-                pros_samples,
-                rate,
-                vowel.center,
-                f0_floor=cfg.f0_floor,
-                f0_ceiling=cfg.f0_ceiling,
-                voicing_threshold=cfg.voicing_threshold,
-            )
+    for _, pw, qw, sw in measure_vowels(clip, seg, cfg):
+        if pw is not None:
             intensities.append(pw.mean_intensity)
             voiced = pw.voiced_f0
             if voiced:
                 pooled_f0.extend(voiced)
                 ranges.append(pw.f0_max - pw.f0_min)
-                f0_med = float(np.median(voiced))
-            else:
-                f0_med = None
-            qw = acoustics.analyze_quality_window(pros_samples, rate, vowel.center, f0_med)
             if qw.jitter_local is not None:
                 perturb["jitter_loc"].append(qw.jitter_local)
             if qw.jitter_ppq5 is not None:
@@ -253,10 +258,7 @@ def extract_features(
                 perturb["shimmer_apq5"].append(qw.shimmer_apq5)
             if qw.harmonicity_db is not None:
                 hnrs.append(qw.harmonicity_db)
-
-        spec_samples = _window(x, rate, vowel.center, cfg.spectral_window)
-        if spec_samples.size >= spectral_len:
-            sw = acoustics.analyze_spectral_window(spec_samples, rate, vowel.center)
+        if sw is not None:
             for i, name in enumerate(("f1", "f2", "f3")):
                 if sw.formants[i] is not None:
                     formant_slots[name].append(sw.formants[i])
@@ -298,25 +300,15 @@ def write_table_csv(path: str, table: FeatureTable) -> None:
 
 
 def read_table_csv(path: str) -> FeatureTable:
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["speaker_id", "session", *FEATURE_NAMES]:
-                raise TableFormatError(f"{path}: unexpected feature CSV header")
-            table = FeatureTable()
-            for lineno, cells in enumerate(reader, start=2):
-                if not cells:
-                    continue
-                if len(cells) != 2 + len(FEATURE_NAMES):
-                    raise TableFormatError(f"{path}:{lineno}: wrong column count")
-                values = {
-                    name: (None if cell == "" else float(cell))
-                    for name, cell in zip(FEATURE_NAMES, cells[2:])
-                }
-                table.add(cells[0], cells[1], FeatureVector(values))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise TableFormatError(f"{path}: bad numeric cell: {exc}") from exc
+    """The table write_table_csv writes; every present cell must be finite."""
+    table = FeatureTable()
+
+    def parse(line: int, cells: list[str]) -> None:
+        values = {
+            name: (None if cell == "" else finite(cell))
+            for name, cell in zip(FEATURE_NAMES, cells[2:])
+        }
+        table.add(cells[0], cells[1], FeatureVector(values))
+
+    read_csv(path, ["speaker_id", "session", *FEATURE_NAMES], parse)
     return table

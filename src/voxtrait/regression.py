@@ -25,6 +25,7 @@ import numpy as np
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
+from .csvio import read_csv
 from .errors import (
     ConstantColumnError,
     DuplicateKeyError,
@@ -394,25 +395,13 @@ class RatingTable:
 
 
 def read_ratings_csv(path: str) -> RatingTable:
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["speaker_id", "dv", "rater_type", "rating"]:
-                raise TableFormatError(f"{path}: unexpected ratings CSV header")
-            table = RatingTable()
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise TableFormatError(f"{path}:{lineno}: wrong column count")
-                try:
-                    rating = int(row[3])
-                except ValueError as exc:
-                    raise TableFormatError(f"{path}:{lineno}: rating not an integer") from exc
-                table.add(row[0], row[1], row[2], rating)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    table = RatingTable()
+
+    def parse(line: int, cells: list[str]) -> None:
+        speaker_id, dv, rater_type, rating = cells
+        table.add(speaker_id, dv, rater_type, int(rating))
+
+    read_csv(path, ["speaker_id", "dv", "rater_type", "rating"], parse)
     return table
 
 

@@ -10,7 +10,6 @@ hop of truth.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
@@ -57,9 +56,6 @@ class FrameTrack:
     @property
     def hop(self) -> float:
         return self.hop_samples / self.sample_rate
-
-    def frame_start(self, i: int) -> float:
-        return i * self.hop_samples / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -382,14 +378,3 @@ def _trim_pauses(
             out.append(PauseSegment(start=start, end=end))
     return out
 
-
-def write_segments_csv(path: str, result: SegmentationResult) -> None:
-    """Debug dump: kind,start_s,end_s,stressed rows sorted by start."""
-    rows = [("vowel", v.start, v.end, v.stressed) for v in result.vowels]
-    rows += [("pause", p.start, p.end, False) for p in result.pauses]
-    rows.sort(key=lambda r: r[1])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "start_s", "end_s", "stressed"])
-        for kind, start, end, stressed in rows:
-            writer.writerow([kind, repr(start), repr(end), int(stressed)])

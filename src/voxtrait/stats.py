@@ -17,6 +17,7 @@ from scipy.special import ndtr
 from scipy.stats import rankdata
 from scipy.stats import t as t_dist
 
+from .csvio import read_csv
 from .errors import (
     AllZeroDifferencesError,
     InputError,
@@ -306,33 +307,22 @@ def write_matrix_csv(path: str, matrix: SignificanceMatrix) -> None:
 
 
 def read_matrix_csv(path: str) -> SignificanceMatrix:
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["feature", "transition", "test", "direction", "tier"]:
-                raise TableFormatError(f"{path}: unexpected arrow CSV header")
-            cells: dict[tuple[str, str, str], MatrixCell] = {}
-            tests: list[str] = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 5:
-                    raise TableFormatError(f"{path}:{lineno}: wrong column count")
-                feature, transition, test, direction, tier = row
-                if feature not in FEATURE_NAMES or transition not in TRANSITIONS:
-                    raise TableFormatError(f"{path}:{lineno}: unknown feature/transition")
-                if test not in TESTS or direction not in DIRECTIONS or tier not in TIERS:
-                    raise TableFormatError(f"{path}:{lineno}: unknown test/direction/tier")
-                if (direction == "none") != (tier == "none"):
-                    raise TableFormatError(
-                        f"{path}:{lineno}: direction and tier must be none together"
-                    )
-                cells[(feature, transition, test)] = MatrixCell(direction, tier)
-                if test not in tests:
-                    tests.append(test)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    cells: dict[tuple[str, str, str], MatrixCell] = {}
+    tests: list[str] = []
+
+    def parse(line: int, row: list[str]) -> None:
+        feature, transition, test, direction, tier = row
+        if feature not in FEATURE_NAMES or transition not in TRANSITIONS:
+            raise TableFormatError("unknown feature/transition")
+        if test not in TESTS or direction not in DIRECTIONS or tier not in TIERS:
+            raise TableFormatError("unknown test/direction/tier")
+        if (direction == "none") != (tier == "none"):
+            raise TableFormatError("direction and tier must be none together")
+        cells[(feature, transition, test)] = MatrixCell(direction, tier)
+        if test not in tests:
+            tests.append(test)
+
+    read_csv(path, ["feature", "transition", "test", "direction", "tier"], parse)
     for feature in FEATURE_NAMES:
         for transition in TRANSITIONS:
             for test in tests:

@@ -422,3 +422,92 @@ def trim_pauses_reference(pauses, vowels, min_duration):
         if end - start >= min_duration:
             out.append((start, end))
     return out
+
+
+def extract_features_reference(clip, cfg, seg):
+    """FeatureVector of one clip from the single measurement loop that
+    `features.extract_features` ran before `measure_vowels` took it over.
+
+    Segmentation, the window analyses and the temporal descriptors come from
+    the package; the loop and the aggregation are kept verbatim.
+    """
+    from voxtrait import acoustics
+    from voxtrait.features import FEATURE_NAMES, FeatureVector, temporal_features
+
+    def window(x, rate, center, length_s):
+        n = int(round(length_s * rate))
+        lo = max(int(round(center * rate)) - n // 2, 0)
+        hi = min(lo + n, x.size)
+        return x[lo:hi]
+
+    def std(values):
+        return float(np.std(np.asarray(values), ddof=1)) if len(values) >= 2 else None
+
+    def mean_or_none(values):
+        return float(np.mean(values)) if values else None
+
+    values = dict.fromkeys(FEATURE_NAMES)
+    values.update(temporal_features(seg))
+    x = clip.samples
+    rate = clip.sample_rate
+    flen_min = int(round(cfg.frame_length * rate))
+    spectral_len = int(round(cfg.spectral_window * rate))
+    pooled_f0, ranges, intensities, hnrs, cep_rows = [], [], [], [], []
+    perturb = {"jitter_loc": [], "jitter_ppq5": [], "shimmer_loc": [], "shimmer_apq5": []}
+    formant_slots = {name: [] for name in ("f1", "f2", "f3", "b1", "b2", "b3")}
+    for vowel in seg.stressed:
+        pros_samples = window(x, rate, vowel.center, cfg.prosody_window)
+        if pros_samples.size >= flen_min:
+            pw = acoustics.analyze_prosody_window(
+                pros_samples,
+                rate,
+                vowel.center,
+                f0_floor=cfg.f0_floor,
+                f0_ceiling=cfg.f0_ceiling,
+                voicing_threshold=cfg.voicing_threshold,
+            )
+            intensities.append(pw.mean_intensity)
+            voiced = pw.voiced_f0
+            if voiced:
+                pooled_f0.extend(voiced)
+                ranges.append(pw.f0_max - pw.f0_min)
+                f0_med = float(np.median(voiced))
+            else:
+                f0_med = None
+            qw = acoustics.analyze_quality_window(pros_samples, rate, vowel.center, f0_med)
+            if qw.jitter_local is not None:
+                perturb["jitter_loc"].append(qw.jitter_local)
+            if qw.jitter_ppq5 is not None:
+                perturb["jitter_ppq5"].append(qw.jitter_ppq5)
+            if qw.shimmer_local is not None:
+                perturb["shimmer_loc"].append(qw.shimmer_local)
+            if qw.shimmer_apq5 is not None:
+                perturb["shimmer_apq5"].append(qw.shimmer_apq5)
+            if qw.harmonicity_db is not None:
+                hnrs.append(qw.harmonicity_db)
+
+        spec_samples = window(x, rate, vowel.center, cfg.spectral_window)
+        if spec_samples.size >= spectral_len:
+            sw = acoustics.analyze_spectral_window(spec_samples, rate, vowel.center)
+            for i, name in enumerate(("f1", "f2", "f3")):
+                if sw.formants[i] is not None:
+                    formant_slots[name].append(sw.formants[i])
+            for i, name in enumerate(("b1", "b2", "b3")):
+                if sw.bandwidths[i] is not None:
+                    formant_slots[name].append(sw.bandwidths[i])
+            cep_rows.append(sw.cepstra)
+
+    values["f0_mean"] = mean_or_none(pooled_f0)
+    values["f0_std"] = std(pooled_f0)
+    values["vowel_f0_range"] = mean_or_none(ranges)
+    values["intensity_std"] = std(intensities)
+    values["harmonicity"] = mean_or_none(hnrs)
+    for name, vals in perturb.items():
+        values[name] = mean_or_none(vals)
+    for name, vals in formant_slots.items():
+        values[name] = mean_or_none(vals)
+    if cep_rows:
+        means = np.mean(np.asarray(cep_rows), axis=0)
+        for i in range(8):
+            values[f"cep{i + 1}"] = float(means[i])
+    return FeatureVector(values)

@@ -10,6 +10,7 @@ from voxtrait.acoustics import (
     HNR_MAX_DB,
     HNR_MIN_DB,
     _mel_filterbank,
+    _parabolic,
     _hz_to_mel,
     _mel_to_hz,
     estimate_f0,
@@ -28,6 +29,15 @@ from voxtrait.errors import InputError
 from voxtrait.synth import synthesize_vowel
 
 RATE = 11025
+
+
+def test_parabolic_vertex():
+    # y = 1 - (t - 0.25)^2 sampled at t = -1, 0, 1: vertex at +0.25, peak 1
+    offset, peak = _parabolic(1 - 1.25**2, 1 - 0.25**2, 1 - 0.75**2)
+    assert offset == pytest.approx(0.25) and peak == pytest.approx(1.0)
+    assert _parabolic(1 - 0.75**2, 1 - 0.25**2, 1 - 1.25**2) == pytest.approx((-0.25, 1.0))
+    assert _parabolic(0.0, 1.0, 1.5) is None  # y1 is not a local maximum
+    assert _parabolic(1.0, 1.0, 1.0) is None  # flat: no curvature
 
 
 def _sine(freq: float, duration_s: float, rate: int = RATE, amp: float = 1.0):

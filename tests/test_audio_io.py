@@ -59,6 +59,15 @@ def test_clip_validation():
     assert not clip.samples.flags.writeable
 
 
+def test_clip_leaves_callers_array_writable():
+    a = np.zeros(10)
+    clip = AudioClip(a, RATE)
+    a[0] = 0.5  # the caller's array is not frozen
+    assert np.shares_memory(clip.samples, a)  # and it was not copied either
+    assert clip.samples[0] == 0.5
+    assert not clip.samples.flags.writeable
+
+
 def test_write_read_round_trip(tmp_path):
     t = np.arange(2000) / RATE
     x = 0.8 * np.sin(2.0 * math.pi * 220.0 * t)

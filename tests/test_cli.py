@@ -83,6 +83,20 @@ def test_extract_total_failure(tmp_path, capsys):
     assert code == 2
 
 
+def test_extract_rejects_repeated_manifest_key(corpus, tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    wav = os.path.join(corpus.wav_dir, sorted(os.listdir(corpus.wav_dir))[0])
+    manifest.write_text(
+        f"path,speaker_id,session\n{wav},sp01,S1\n{wav},sp01,S2\n\n{wav},sp01,S1\n"
+    )
+    out = tmp_path / "f.csv"
+    code = main(["extract", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "manifest.csv:5: duplicate row for ('sp01', 'S1'), first on line 2" in err
+    assert not out.exists()  # rejected before any recording is processed
+
+
 def test_extract_config_override_lands_in_sidecar(corpus, tmp_path, capsys):
     out = str(tmp_path / "f.csv")
     code = main(
@@ -196,6 +210,19 @@ def test_score_with_explicit_stats(tmp_path, capsys):
     got = float(line.split(",")[4])
     expect = -0.67 * 0.5 + -0.35 * -1.0 + 0.29 * 2.0
     assert got == pytest.approx(expect, abs=1e-4)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_score_rejects_non_finite_stats(tmp_path, capsys, cell):
+    table = FeatureTable()
+    table.add("solo", "S1", FeatureVector({"cep1": 2.0}))
+    f_path = str(tmp_path / "f.csv")
+    write_table_csv(f_path, table)
+    s_path = tmp_path / "stats.csv"
+    s_path.write_text(f"feature,mean,std\ncep1,0.0,1.0\nmean_pause,{cell},1.0\n")
+    code = main(["score", "--features", f_path, "--stats", str(s_path)])
+    assert code == 2
+    assert "stats.csv:3: numeric cell" in capsys.readouterr().err
 
 
 def test_synth_corpus_command(tmp_path, capsys):

@@ -1,20 +1,32 @@
 """Descriptor bookkeeping: vectors, tables, temporal math, CSV format."""
 
+import os
+
 import numpy as np
 import pytest
 
+from voxtrait.audio_io import AudioClip, load_wav, resample
+from voxtrait.config import RunConfig
 from voxtrait.errors import DuplicateKeyError, InputError, TableFormatError
 from voxtrait.features import (
     FEATURE_NAMES,
     FeatureTable,
     FeatureVector,
     TableRow,
-    build_table,
+    extract_features,
+    measure_vowels,
     read_table_csv,
     temporal_features,
     write_table_csv,
 )
-from voxtrait.segmentation import PauseSegment, SegmentationResult, VowelSegment
+from voxtrait.segmentation import (
+    PauseSegment,
+    SegmentationResult,
+    VowelSegment,
+    segment_clip,
+)
+
+from oracles import extract_features_reference
 
 
 def test_vector_fills_absent_names():
@@ -38,20 +50,37 @@ def test_vector_rejects_unknown_names():
 
 def test_table_key_discipline():
     table = FeatureTable()
-    table.add("A", "S1", FeatureVector({}))
-    with pytest.raises(DuplicateKeyError):
-        table.add("A", "S1", FeatureVector({}))
-    with pytest.raises(InputError):
-        table.add("A", "S4", FeatureVector({}))
-    table.add("A", "S2", FeatureVector({}))
     table.add("B", "S1", FeatureVector({}))
-    assert table.speakers() == ["A", "B"]
-    assert table.get("A", "S2") is not None
+    with pytest.raises(DuplicateKeyError):
+        table.add("B", "S1", FeatureVector({}))
+    with pytest.raises(InputError):
+        table.add("B", "S4", FeatureVector({}))
+    table.add("A", "S2", FeatureVector({"f1": 500.0}))
+    table.add("B", "S2", FeatureVector({}))
+    table.add("C", "S3", FeatureVector({}))
+    assert table.speakers() == ["B", "A", "C"]  # insertion order, not sorted
+    assert table.get("A", "S2")["f1"] == 500.0
     assert table.get("B", "S3") is None
+    assert table.get("Z", "S1") is None
+    assert [(r.speaker_id, r.session) for r in table.rows] == [
+        ("B", "S1"), ("A", "S2"), ("B", "S2"), ("C", "S3")
+    ]
 
     rows = [TableRow("A", "S1", FeatureVector({}))] * 2
     with pytest.raises(DuplicateKeyError):
         FeatureTable(rows)
+
+
+def test_table_built_from_rows_is_keyed():
+    table = FeatureTable([TableRow("B", "S2", FeatureVector({"f2": 1.5})),
+                          TableRow("A", "S1", FeatureVector({}))])
+    assert table.get("B", "S2")["f2"] == 1.5
+    assert table.get("B", "S1") is None
+    assert table.speakers() == ["B", "A"]
+    with pytest.raises(DuplicateKeyError):
+        table.add("A", "S1", FeatureVector({}))
+    table.add("A", "S3", FeatureVector({}))
+    assert table.get("A", "S3") is not None
 
 
 def test_temporal_features_hand_worked():
@@ -90,6 +119,34 @@ def test_temporal_features_degenerate():
     assert out["rhythm"] == 1.0
 
 
+def _corpus_clips(corpus, every=3):
+    for name in sorted(os.listdir(corpus.wav_dir))[::every]:
+        yield resample(load_wav(os.path.join(corpus.wav_dir, name)))
+
+
+def test_extract_features_equals_reference_loop(corpus):
+    cfg = RunConfig()
+    for clip in _corpus_clips(corpus):
+        seg = segment_clip(clip, cfg)
+        assert extract_features(clip, cfg, seg) == extract_features_reference(clip, cfg, seg)
+
+
+def test_measure_vowels_at_the_clip_edge(corpus):
+    # Cut the clip 10 ms past the center of its next-to-last stressed vowel:
+    # that vowel's spectral window runs short, the last vowel's are empty.
+    cfg = RunConfig()
+    clip = next(_corpus_clips(corpus))
+    seg = segment_clip(clip, cfg)
+    cut = seg.stressed[-2].center + 0.010
+    short = AudioClip(clip.samples[: int(cut * clip.sample_rate)], clip.sample_rate)
+    measured = list(measure_vowels(short, seg, cfg))
+    assert [m[0] for m in measured] == list(seg.stressed)
+    assert measured[-3][1] is not None and measured[-3][3] is not None
+    assert measured[-2][1] is not None and measured[-2][3] is None
+    assert measured[-1][1:] == (None, None, None)
+    assert extract_features(short, cfg, seg) == extract_features_reference(short, cfg, seg)
+
+
 def test_corpus_extraction_fills_every_descriptor(extracted):
     table, _ = extracted
     assert len(table.rows) == 18
@@ -99,12 +156,9 @@ def test_corpus_extraction_fills_every_descriptor(extracted):
 
 
 def test_csv_round_trip_with_absent_cells(tmp_path):
-    table = build_table(
-        [
-            ("A", "S1", FeatureVector({"spkrate": 0.123456789012345, "f1": 712.25})),
-            ("A", "S2", FeatureVector({"cep3": -1.5e-7})),
-        ]
-    )
+    table = FeatureTable()
+    table.add("A", "S1", FeatureVector({"spkrate": 0.123456789012345, "f1": 712.25}))
+    table.add("A", "S2", FeatureVector({"cep3": -1.5e-7}))
     path = str(tmp_path / "feat.csv")
     write_table_csv(path, table)
     back = read_table_csv(path)
@@ -128,8 +182,34 @@ def test_csv_format_errors(tmp_path):
 
     cells = ["A", "S1"] + ["x"] + [""] * 29
     p.write_text(header + "\n" + ",".join(cells) + "\n")
-    with pytest.raises(TableFormatError):
+    with pytest.raises(TableFormatError, match=r"bad\.csv:2: "):
         read_table_csv(str(p))
 
     with pytest.raises(InputError):
         read_table_csv(str(tmp_path / "absent.csv"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_csv_rejects_non_finite_cells(tmp_path, cell):
+    header = ",".join(["speaker_id", "session", *FEATURE_NAMES])
+    good = ",".join(["A", "S1"] + ["1.0"] * 30)
+    bad = ",".join(["B", "S1", cell] + [""] * 29)
+    p = tmp_path / "feat.csv"
+    p.write_text(f"{header}\n{good}\n\n{bad}\n")
+    with pytest.raises(TableFormatError, match=r"feat\.csv:4: .*not finite"):
+        read_table_csv(str(p))
+
+
+def test_csv_row_errors_name_the_line(tmp_path):
+    header = ",".join(["speaker_id", "session", *FEATURE_NAMES])
+    row = ",".join(["A", "S1"] + [""] * 30)
+    p = tmp_path / "feat.csv"
+    p.write_text(f"{header}\n{row}\n{row}\n")
+    with pytest.raises(DuplicateKeyError, match=r"feat\.csv:3: duplicate row"):
+        read_table_csv(str(p))
+    p.write_text(f"{header}\n\n{row.replace('S1', 'S9')}\n")
+    with pytest.raises(InputError, match=r"feat\.csv:3: session must be"):
+        read_table_csv(str(p))
+    p.write_text(f"{header}\n{row},\n")
+    with pytest.raises(TableFormatError, match=r"feat\.csv:2: wrong column count"):
+        read_table_csv(str(p))

@@ -1,6 +1,5 @@
 """Vowel and pause detection on constructed clips with known layout."""
 
-import csv
 import math
 import tracemalloc
 
@@ -16,14 +15,12 @@ from voxtrait.segmentation import (
     PAUSE_MIN_DURATION_S,
     FrameTrack,
     PauseSegment,
-    SegmentationResult,
     VowelSegment,
     analyze_frames,
     detect_pauses,
     detect_vowels,
     segment_clip,
     select_stressed,
-    write_segments_csv,
     _trim_pauses,
 )
 
@@ -101,7 +98,6 @@ def test_frame_track_geometry():
     assert track.frame_length_samples == 276
     assert track.hop_samples == HOP
     assert track.n_frames == (1000 - 276) // HOP + 1
-    assert track.frame_start(3) == pytest.approx(3 * HOP / RATE)
     assert not track.voiced.any()
     assert np.all(track.energy_db == -120.0)
 
@@ -147,22 +143,6 @@ def test_detect_pauses_respects_min_duration():
     assert detect_pauses(track, 1.0, min_duration=2.0) == []
     long_enough = detect_pauses(track, 1.0, min_duration=PAUSE_MIN_DURATION_S)
     assert len(long_enough) == 1
-
-
-def test_segments_csv_round_trip(tmp_path):
-    seg = SegmentationResult(
-        vowels=(VowelSegment(0.1, 0.3, stressed=True), VowelSegment(1.0, 1.2)),
-        pauses=(PauseSegment(0.4, 0.9),),
-        total_duration=2.0,
-    )
-    path = str(tmp_path / "seg.csv")
-    write_segments_csv(path, seg)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["kind", "start_s", "end_s", "stressed"]
-    assert [r[0] for r in rows[1:]] == ["vowel", "pause", "vowel"]
-    assert float(rows[1][1]) == 0.1 and int(rows[1][3]) == 1
-    assert float(rows[2][2]) == 0.9
 
 
 def _speechlike(n: int, seed: int) -> np.ndarray:
