@@ -2,7 +2,10 @@
 
 Low-level operations shared by segmentation and feature extraction: frame
 energy, normalized-autocorrelation voicing and F0, cycle marking with
-jitter/shimmer, harmonicity, LPC formants and mel cepstra.
+jitter/shimmer, harmonicity, LPC formants and mel cepstra. One
+normalized-autocorrelation kernel, `ncc_frames`, serves segmentation's
+frame voicing (a block of frames per call) and the F0 and HNR measures
+(one window per call, through `ncc_curve`).
 
 All functions take plain sample arrays; the 80 ms prosody / 40 ms spectral
 window slicing is done by the callers in `features`.
@@ -101,29 +104,40 @@ def intensity_db(samples: np.ndarray) -> float:
     return max(10.0 * math.log10(ms), SILENCE_FLOOR_DB)
 
 
-def ncc_curve(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized cross-correlation of a window with itself for lags 0..max_lag.
+def ncc_frames(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Normalized autocorrelation along the last axis for lags 0..max_lag.
 
     r[tau] = sum(x[t] x[t+tau]) / sqrt(sum_head(x^2) * sum_tail(x^2)), the
-    normalization using only the overlapping stretch at each lag. Values are
-    clipped into [-1, 1]; lags with negligible overlap energy give 0.
+    normalization using only the overlapping stretch at each lag (Boersma
+    1993). max_lag is cut so that at least _MIN_OVERLAP samples overlap.
+    Values are clipped into [-1, 1]; lags with negligible overlap energy
+    give 0. Rows of a 2-D block come out bit-identical to 1-D calls.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
     max_lag = min(max_lag, n - _MIN_OVERLAP)
-    if max_lag < 1:
-        return np.zeros(1)
     nfft = 1 << int(n + max_lag).bit_length()
     spec = rfft(x, nfft)
-    ac = irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
-    sq = np.cumsum(x * x)
-    total = sq[-1]
+    # spec * conj(spec) in that order at every size: numpy's complex multiply
+    # is not bitwise commutative, and an inline `spec * np.conj(spec)` turns
+    # into conj * spec once numpy elides the temporary (256 KiB and up).
+    power = np.conj(spec)
+    np.multiply(spec, power, out=power)
+    ac = irfft(power, nfft)[..., : max_lag + 1]
+    sq = np.cumsum(x * x, axis=-1)
     lags = np.arange(max_lag + 1)
-    head = sq[n - 1 - lags]
-    tail = total - np.concatenate(([0.0], sq[: max_lag]))
-    denom = np.sqrt(head * tail)
+    head = sq[..., n - 1 - lags]
+    before = np.concatenate((np.zeros(sq.shape[:-1] + (1,)), sq[..., :max_lag]), axis=-1)
+    denom = np.sqrt(head * (sq[..., -1:] - before))
     out = np.where(denom > _TINY, ac / np.maximum(denom, _TINY), 0.0)
     return np.clip(out, -1.0, 1.0)
+
+
+def ncc_curve(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """ncc_frames of one window; a single 0 when the window is too short."""
+    if min(max_lag, np.size(x) - _MIN_OVERLAP) < 1:
+        return np.zeros(1)
+    return ncc_frames(x, max_lag)
 
 
 # A periodic signal correlates equally at every multiple of its period, so
@@ -173,6 +187,15 @@ def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
     return lag, strength
 
 
+def pitch_lags(sample_rate: int, f0_floor: float, f0_ceiling: float) -> tuple[int, int]:
+    """(lo, hi) autocorrelation lags, in samples, of the F0 search range."""
+    if not 0 < f0_floor < f0_ceiling or f0_ceiling >= sample_rate / 2:
+        raise InputError("need 0 < f0_floor < f0_ceiling < rate/2")
+    lo = max(2, int(math.ceil(sample_rate / f0_ceiling)))
+    hi = int(math.floor(sample_rate / f0_floor))
+    return lo, hi
+
+
 def f0_once(
     samples: np.ndarray,
     sample_rate: int,
@@ -185,10 +208,7 @@ def f0_once(
     Returns (f0, strength) where strength is the best normalized
     autocorrelation in the admissible lag range.
     """
-    if not 0 < f0_floor < f0_ceiling or f0_ceiling >= sample_rate / 2:
-        raise InputError("need 0 < f0_floor < f0_ceiling < rate/2")
-    lo = max(2, int(math.ceil(sample_rate / f0_ceiling)))
-    hi = int(math.floor(sample_rate / f0_floor))
+    lo, hi = pitch_lags(sample_rate, f0_floor, f0_ceiling)
     curve = ncc_curve(samples, hi)
     lag, strength = _pick_peak(curve, lo, hi)
     if strength < voicing_threshold or lag <= 0:

@@ -18,7 +18,11 @@ import csv
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
+import numpy as np
 
 from .audio_io import load_wav, resample
 from .config import RunConfig, load_config
@@ -34,7 +38,7 @@ from .features import (
     read_table_csv,
     write_table_csv,
 )
-from .models import get_model, registry, score, standardize_against
+from .models import registry, score, standardize_against
 from .regression import (
     Thresholds,
     cross_session_eval,
@@ -126,31 +130,24 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     manifest = read_manifest(args.manifest)
     jobs = [(path, spk, ses, cfg.to_dict()) for path, spk, ses in manifest]
-    failures = 0
-    results: list[tuple[str, str, FeatureVector] | None] = []
     if cfg.jobs > 1 and len(jobs) > 1:
-        # submit() keeps one future per manifest row, so aggregation below
-        # stays in manifest order no matter which worker finishes first
+        # one future per manifest row keeps the outcomes in manifest order
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(_extract_one, job) for job in jobs]
-            for job, future in zip(jobs, futures):
-                try:
-                    results.append(future.result())
-                except (InputError, StatsError) as exc:
-                    sys.stderr.write(f"warning: {job[0]}: {exc}\n")
-                    failures += 1
-                    results.append(None)
+        outcomes = [future.result for future in futures]
     else:
-        for job in jobs:
-            try:
-                results.append(_extract_one(job))
-            except (InputError, StatsError) as exc:
-                sys.stderr.write(f"warning: {job[0]}: {exc}\n")
-                failures += 1
-                results.append(None)
+        outcomes = [partial(_extract_one, job) for job in jobs]
     table = FeatureTable()
-    for result in results:
-        if result is not None:
+    failures = 0
+    for job, outcome in zip(jobs, outcomes):
+        try:
+            result = outcome()
+        except Exception as exc:  # one bad recording must not cost the table
+            sys.stderr.write(f"warning: {job[0]}: {type(exc).__name__}: {exc}\n")
+            if not isinstance(exc, (InputError, StatsError)):
+                traceback.print_exception(exc)  # a fault in the program, not the input
+            failures += 1
+        else:
             table.add(*result)
     write_table_csv(args.out, table)
     _emit_run_config("extract", cfg, args.out)
@@ -257,8 +254,6 @@ def _read_stats_csv(path: str) -> dict[str, tuple[float, float]]:
 
 def _stats_from_table(table: FeatureTable) -> dict[str, tuple[float, float]]:
     """Per-feature mean/std over every row; features needing them get both."""
-    import numpy as np
-
     stats: dict[str, tuple[float, float]] = {}
     rows = [row.features for row in table.rows]
     for name in FEATURE_NAMES:

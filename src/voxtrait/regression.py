@@ -381,6 +381,8 @@ class RatingTable:
     ratings: dict[tuple[str, str, str], int] = field(default_factory=dict)
 
     def add(self, speaker_id: str, dv: str, rater_type: str, rating: int) -> None:
+        if dv not in DV_NAMES:
+            raise InputError(f"unknown dv {dv!r}")
         if rater_type not in RATER_TYPES:
             raise InputError(f"rater_type must be one of {RATER_TYPES}")
         if not isinstance(rating, int) or not 1 <= rating <= 7:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, rfft
 
 from . import acoustics
 from .audio_io import AudioClip
@@ -106,35 +105,15 @@ class SegmentationResult:
         return tuple(v for v in self.vowels if v.stressed)
 
 
-def _score_frames(
-    frames: np.ndarray, lo: int, hi: int, nfft: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _score_frames(frames: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(energy dB, voicing strength) of each row of a (n, flen) frame array."""
-    n, flen = frames.shape
-    sq = frames * frames
-    mean_sq = sq.mean(axis=1)
-    energy = np.full(n, acoustics.SILENCE_FLOOR_DB)
+    mean_sq = (frames * frames).mean(axis=1)
+    energy = np.full(frames.shape[0], acoustics.SILENCE_FLOOR_DB)
     audible = mean_sq > 1e-12
     energy[audible] = np.maximum(
         10.0 * np.log10(mean_sq[audible]), acoustics.SILENCE_FLOOR_DB
     )
-
-    spec = rfft(frames, nfft, axis=1)
-    # conj(spec) * spec in that order, whatever the block size: numpy's
-    # complex multiply is not bitwise commutative, and the benchmark
-    # fingerprint was recorded with this order.
-    power = np.conj(spec)
-    power *= spec
-    ac = irfft(power, nfft, axis=1)[:, : hi + 1]
-    csum = np.cumsum(sq, axis=1)
-    total = csum[:, -1][:, None]
-    lags = np.arange(hi + 1)
-    head = csum[:, flen - 1 - lags]
-    tail = total - np.concatenate((np.zeros((n, 1)), csum[:, :hi]), axis=1)
-    denom = np.sqrt(head * tail)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ncc = np.where(denom > 1e-30, ac / np.maximum(denom, 1e-30), 0.0)
-    strength = np.clip(ncc[:, lo : hi + 1], -1.0, 1.0).max(axis=1)
+    strength = acoustics.ncc_frames(frames, hi)[:, lo:].max(axis=1)
     return energy, strength
 
 
@@ -167,14 +146,12 @@ def analyze_frames(
     frames = sliding_window_view(x, flen)[::hop_s]
     n_frames = frames.shape[0]
 
-    lo = max(2, int(math.ceil(rate / f0_ceiling)))
-    hi = min(int(math.floor(rate / f0_floor)), flen - 8)
-    nfft = 1 << int(flen + hi).bit_length()
+    lo, hi = acoustics.pitch_lags(rate, f0_floor, f0_ceiling)
     energy = np.empty(n_frames)
     strength = np.empty(n_frames)
     for a in range(0, n_frames, FRAME_BLOCK):
         b = min(a + FRAME_BLOCK, n_frames)
-        energy[a:b], strength[a:b] = _score_frames(frames[a:b], lo, hi, nfft)
+        energy[a:b], strength[a:b] = _score_frames(frames[a:b], lo, hi)
 
     return FrameTrack(
         sample_rate=rate,

@@ -355,12 +355,10 @@ def analyze_frames_reference(
     hi = min(int(math.floor(rate / f0_floor)), flen - 8)
     nfft = 1 << int(flen + hi).bit_length()
     spec = rfft(frames, nfft, axis=1)
-    # numpy evaluates `spec * np.conj(spec)` in place in the conj temporary
-    # once it reaches 256 KiB (64 frames at nfft 512), i.e. as
-    # conj(spec) * spec. The order is written out so that short clips get
-    # it too.
+    # spec * conj(spec) written out: inline, numpy elides the conj temporary
+    # from 256 KiB (64 frames at nfft 512) and multiplies as conj * spec.
     power = np.conj(spec)
-    power *= spec
+    np.multiply(spec, power, out=power)
     ac = irfft(power, nfft, axis=1)[:, : hi + 1]
     csum = np.cumsum(sq, axis=1)
     total = csum[:, -1][:, None]

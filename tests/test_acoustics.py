@@ -22,6 +22,8 @@ from voxtrait.acoustics import (
     mark_cycles,
     mfcc,
     ncc_curve,
+    ncc_frames,
+    pitch_lags,
     preemphasize,
     subframe_grid,
 )
@@ -103,6 +105,41 @@ def test_ncc_curve_basics():
 
 def test_ncc_curve_short_input():
     assert ncc_curve(np.ones(4), 50).shape == (1,)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 1024])
+def test_ncc_frames_rows_equal_ncc_curve(rows):
+    # 64 rows of 257 complex bins is where numpy starts eliding temporaries,
+    # so this pins one multiply order on both sides of that size
+    rng = np.random.default_rng(rows)
+    t = np.arange(276) / RATE
+    f0 = rng.uniform(80.0, 400.0, size=(rows, 1))
+    block = np.sin(2.0 * math.pi * f0 * t) + 0.3 * rng.standard_normal((rows, 276))
+    block[0, 100:] = 0.0  # stretches without overlap energy give 0
+    lo, hi = pitch_lags(RATE, 75.0, 500.0)
+    curves = ncc_frames(block, hi)
+    assert curves.shape == (rows, hi + 1)
+    for row, curve in zip(block, curves):
+        assert np.array_equal(curve, ncc_curve(row, hi))
+
+
+def test_ncc_frames_cuts_the_lag_to_the_minimum_overlap():
+    x = _sine(150.0, 0.01)  # 110 samples
+    assert ncc_frames(x, 500).shape == (110 - 8 + 1,)
+    assert np.array_equal(ncc_frames(x, 500), ncc_curve(x, 500))
+
+
+def test_pitch_lags():
+    assert pitch_lags(RATE, 75.0, 500.0) == (23, 147)
+    assert pitch_lags(8000, 100.0, 3999.0) == (3, 80)
+    with pytest.raises(InputError):
+        pitch_lags(RATE, 500.0, 500.0)
+    with pytest.raises(InputError):
+        pitch_lags(RATE, 600.0, 500.0)
+    with pytest.raises(InputError):
+        pitch_lags(RATE, 75.0, RATE / 2)
+    with pytest.raises(InputError):
+        pitch_lags(RATE, 0.0, 500.0)
 
 
 # ------------------------------------------------------------------- F0

@@ -97,6 +97,34 @@ def test_extract_rejects_repeated_manifest_key(corpus, tmp_path, capsys):
     assert not out.exists()  # rejected before any recording is processed
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_extract_unexpected_error_fails_one_row(corpus, tmp_path, capsys, monkeypatch, jobs):
+    # an error outside the typed hierarchy costs its row, not the table;
+    # pool workers are forked, so they see the patch too
+    import voxtrait.cli
+
+    segment_clip = voxtrait.cli.segment_clip
+
+    def segment_or_fail(clip, cfg):
+        if clip.source_id == "spXX/S1":
+            raise ZeroDivisionError("boom")
+        return segment_clip(clip, cfg)
+
+    monkeypatch.setattr(voxtrait.cli, "segment_clip", segment_or_fail)
+    wavs = [os.path.join(corpus.wav_dir, name) for name in sorted(os.listdir(corpus.wav_dir))[:2]]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        f"path,speaker_id,session\n{wavs[0]},sp01,S1\n{wavs[1]},spXX,S1\n{wavs[1]},sp02,S1\n"
+    )
+    out = str(tmp_path / "f.csv")
+    code = main(["extract", "--manifest", str(manifest), "--out", out, "--jobs", jobs])
+    assert code == 4
+    assert [row.speaker_id for row in read_table_csv(out).rows] == ["sp01", "sp02"]
+    err = capsys.readouterr().err
+    assert f"warning: {wavs[1]}: ZeroDivisionError: boom" in err
+    assert "in segment_or_fail" in err  # the traceback, from a worker too
+
+
 def test_extract_config_override_lands_in_sidecar(corpus, tmp_path, capsys):
     out = str(tmp_path / "f.csv")
     code = main(
@@ -170,6 +198,18 @@ def test_train_rejects_sa(toy_csvs, tmp_path, capsys):
          "--dv", "cooperative", "--session", "S1", "--out", str(tmp_path / "m.json")]
     )
     assert code == 2
+
+
+def test_train_rejects_unknown_dv_in_ratings(toy_csvs, tmp_path, capsys):
+    f_path, _ = toy_csvs
+    r_path = tmp_path / "ratings.csv"
+    r_path.write_text("speaker_id,dv,rater_type,rating\nsp01,cooperativ,P,4\n")
+    code = main(
+        ["train", "--features", f_path, "--ratings", str(r_path),
+         "--dv", "cooperative", "--session", "S1", "--out", str(tmp_path / "m.json")]
+    )
+    assert code == 2
+    assert "ratings.csv:2: unknown dv 'cooperativ'" in capsys.readouterr().err
 
 
 def test_score_against_registry(features_csv, capsys):

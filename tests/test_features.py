@@ -1,10 +1,12 @@
 """Descriptor bookkeeping: vectors, tables, temporal math, CSV format."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
+from voxtrait import acoustics
 from voxtrait.audio_io import AudioClip, load_wav, resample
 from voxtrait.config import RunConfig
 from voxtrait.errors import DuplicateKeyError, InputError, TableFormatError
@@ -25,6 +27,7 @@ from voxtrait.segmentation import (
     VowelSegment,
     segment_clip,
 )
+from voxtrait.synth import synthesize_vowel
 
 from oracles import extract_features_reference
 
@@ -145,6 +148,38 @@ def test_measure_vowels_at_the_clip_edge(corpus):
     assert measured[-2][1] is not None and measured[-2][3] is None
     assert measured[-1][1:] == (None, None, None)
     assert extract_features(short, cfg, seg) == extract_features_reference(short, cfg, seg)
+
+
+def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):
+    # The benchmark fingerprint records acoustics.ncc_curve_calls: one call
+    # per 25 ms subframe of the 80 ms prosody window (6) plus one for HNR.
+    rate = 11025
+    rng = np.random.default_rng(4)
+    silence = np.zeros(int(0.3 * rate))
+    parts = [silence]
+    for f0, dur in [(120.0, 0.25), (180.0, 0.15), (140.0, 0.30), (220.0, 0.12)]:
+        vowel = synthesize_vowel(rate, f0, (700.0, 1200.0, 2600.0), (80.0, 90.0, 120.0),
+                                 int(dur * rate), rng)
+        parts += [0.5 * vowel / np.max(np.abs(vowel)), silence]
+    clip = AudioClip(np.concatenate(parts), rate)
+    cfg = RunConfig()
+    seg = segment_clip(clip, cfg)
+    calls = []
+    ncc_curve = acoustics.ncc_curve
+
+    def counting(x, max_lag):
+        calls.append(max_lag)
+        return ncc_curve(x, max_lag)
+
+    monkeypatch.setattr(acoustics, "ncc_curve", counting)
+    measured = list(measure_vowels(clip, seg, cfg))
+    flen, hop, subframes = acoustics.subframe_grid(
+        int(round(cfg.prosody_window * rate)), rate
+    )
+    assert subframes == 6
+    assert len(measured) == math.ceil(len(seg.vowels) / 2) >= 2
+    assert all(len(p.f0_track) == subframes and p.voiced_f0 for _, p, _, _ in measured)
+    assert len(calls) == 7 * len(measured)
 
 
 def test_corpus_extraction_fills_every_descriptor(extracted):

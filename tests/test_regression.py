@@ -262,6 +262,8 @@ def test_rating_table_validation():
         t.add("B", "cooperative", "P", 8)
     with pytest.raises(InputError):
         t.add("B", "cooperative", "P", 4.5)
+    with pytest.raises(InputError):
+        t.add("B", "cooperativ", "P", 4)
     assert t.get("A", "cooperative", "P") == 5
     assert t.get("A", "cooperative", "SA") is None
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxtrait import acoustics
 from voxtrait.audio_io import AudioClip
 from voxtrait.errors import ClipTooShortError, InputError
 from voxtrait.segmentation import (
@@ -166,6 +167,21 @@ def test_block_analysis_matches_whole_array(n_frames):
     assert track.n_frames == n_frames
     assert np.array_equal(track.energy_db, energy)
     assert np.array_equal(track.voicing_strength, strength)
+
+
+def test_voicing_strength_is_the_pitch_tracker_curve():
+    # one kernel: each frame's voicing strength is, to the bit, the peak of
+    # the curve f0_once searches, over the same lag range
+    x = _speechlike(RATE, seed=5)
+    track = analyze_frames(AudioClip(x, RATE))
+    lo, hi = acoustics.pitch_lags(RATE, acoustics.F0_FLOOR_HZ, acoustics.F0_CEILING_HZ)
+    flen, hop = track.frame_length_samples, track.hop_samples
+    expected = [
+        acoustics.ncc_curve(x[i * hop : i * hop + flen], hi)[lo:].max()
+        for i in range(track.n_frames)
+    ]
+    assert track.voiced.any() and not track.voiced.all()
+    assert np.array_equal(track.voicing_strength, expected)
 
 
 def test_frame_analysis_memory_does_not_grow_with_clip_length():
