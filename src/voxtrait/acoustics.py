@@ -196,6 +196,11 @@ def pitch_lags(sample_rate: int, f0_floor: float, f0_ceiling: float) -> tuple[in
     return lo, hi
 
 
+def min_frame_samples(sample_rate: int, f0_floor: float, f0_ceiling: float) -> int:
+    """Shortest frame whose autocorrelation reaches the lowest pitch lag."""
+    return pitch_lags(sample_rate, f0_floor, f0_ceiling)[0] + _MIN_OVERLAP
+
+
 def f0_once(
     samples: np.ndarray,
     sample_rate: int,

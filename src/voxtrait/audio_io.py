@@ -104,6 +104,9 @@ def _decode_pcm(body: memoryview, bits: int, n_channels: int, n_frames: int) -> 
         elif bits == 16:
             raw = np.frombuffer(chunk, dtype="<i2").astype(np.float64)
             scaled = raw / 32768.0
+        elif bits == 32:
+            raw = np.frombuffer(chunk, dtype="<i4").astype(np.float64)
+            scaled = raw / float(1 << 31)
         else:  # 24-bit: assemble little-endian triplets and sign-extend
             b = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
             val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
@@ -114,7 +117,7 @@ def _decode_pcm(body: memoryview, bits: int, n_channels: int, n_frames: int) -> 
 
 
 def load_wav(path: str, source_id: str | None = None) -> AudioClip:
-    """Decode a linear PCM WAV file (8/16/24-bit, mono or multichannel).
+    """Decode a linear PCM WAV file (8/16/24/32-bit, mono or multichannel).
 
     Plain PCM (format 1) and WAVE_FORMAT_EXTENSIBLE with the PCM SubFormat
     are read. Multichannel audio is averaged down to mono after scaling.
@@ -147,7 +150,7 @@ def load_wav(path: str, source_id: str | None = None) -> AudioClip:
             raise NonPcmError(f"{path}: extensible WAV SubFormat is not linear PCM")
     elif audio_format != _FORMAT_PCM:
         raise NonPcmError(f"{path}: WAV format code {audio_format} is not linear PCM")
-    if bits not in (8, 16, 24):
+    if bits not in (8, 16, 24, 32):
         raise NonPcmError(f"{path}: {bits}-bit PCM is not supported")
     if n_channels < 1 or rate <= 0:
         raise WavReadError(f"{path}: malformed fmt chunk")

@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from .acoustics import min_frame_samples
 from .errors import InputError
 
 
@@ -54,6 +55,12 @@ class RunConfig:
             raise InputError("pause_min_duration must be positive")
         if not 0 < self.frame_hop <= self.frame_length:
             raise InputError("need 0 < frame_hop <= frame_length")
+        shortest = min_frame_samples(self.sample_rate, self.f0_floor, self.f0_ceiling)
+        if int(round(self.frame_length * self.sample_rate)) < shortest:
+            raise InputError(
+                f"frame_length must span >= {shortest} samples at "
+                f"{self.sample_rate} Hz to reach the F0 range"
+            )
         if self.spectral_window <= 0 or self.prosody_window < self.frame_length:
             raise InputError("analysis windows too short")
         for name in ("entry_p", "removal_p"):

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import f as f_dist
-from scipy.stats import t as t_dist
+from scipy.special import fdtrc, stdtr
 
 from .csvio import read_csv
 from .errors import (
@@ -72,9 +71,12 @@ def zscore_fit(X: np.ndarray, names: Sequence[str]) -> Standardization:
         raise InputError("names must match the number of columns")
     mean = X.mean(axis=0)
     std = X.std(axis=0, ddof=1)
-    for j, s in enumerate(std):
-        if s == 0.0 or not np.isfinite(s):
-            raise ConstantColumnError(f"column {names[j]!r} has zero variance")
+    # max == min is the exact constant test: the std of a constant column
+    # can round to a tiny nonzero value (19 copies of 0.1 give 1.4e-17)
+    ok = (X.max(axis=0) > X.min(axis=0)) & (std > 0.0) & np.isfinite(std)
+    if not ok.all():
+        name = names[int(np.argmin(ok))]
+        raise ConstantColumnError(f"column {name!r} has zero variance")
     return Standardization(tuple(names), mean, std)
 
 
@@ -157,20 +159,20 @@ def _forward_scan(
     rss_floor = 1e-12 * max(syy, 1.0)
     if k:
         sel = np.asarray(selected)
-        Gss = G[np.ix_(sel, sel)]
-        rhs = np.concatenate((G[np.ix_(sel, candidates)], gy[sel][:, None]), axis=1)
+        # a C-contiguous block: on the F-ordered G[sel][:, candidates],
+        # `Gsc.T @ beta_s` sums in another order and moves the entry p-values
+        Gsc = G[sel[:, None], candidates]
+        rhs = np.concatenate((Gsc, gy[sel][:, None]), axis=1)
         try:
-            sol = np.linalg.solve(Gss, rhs)
+            sol = np.linalg.solve(G[sel[:, None], sel], rhs)
         except np.linalg.LinAlgError:
             return None
         beta_s = sol[:, -1]
         rss = syy - float(gy[sel] @ beta_s)
         if rss <= rss_floor:
             return None
-        d = G[candidates, candidates] - np.einsum(
-            "ij,ij->j", G[np.ix_(sel, candidates)], sol[:, :-1]
-        )
-        num = gy[candidates] - G[np.ix_(sel, candidates)].T @ beta_s
+        d = G[candidates, candidates] - np.einsum("ij,ij->j", Gsc, sol[:, :-1])
+        num = gy[candidates] - Gsc.T @ beta_s
     else:
         rss = syy
         if rss <= rss_floor:
@@ -189,7 +191,7 @@ def _forward_scan(
     F[~ok] = -np.inf
     p = np.full(candidates.size, np.inf)
     finite = np.isfinite(F) & ok
-    p[finite] = f_dist.sf(F[finite], 1, df2)
+    p[finite] = fdtrc(1, df2, F[finite])  # f.sf(F, 1, df2)
     p[ok & ~finite] = 0.0  # perfect fit
     best = int(np.argmin(p))
     if not np.isfinite(p[best]):
@@ -202,8 +204,7 @@ def _ols_stats(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """(betas, rss, two-sided p per included predictor)."""
     sel = np.asarray(selected)
-    Gss = G[np.ix_(sel, sel)]
-    Ginv = np.linalg.inv(Gss)
+    Ginv = np.linalg.inv(G[sel[:, None], sel])
     beta = Ginv @ gy[sel]
     rss = max(syy - float(gy[sel] @ beta), 0.0)
     df = n - len(selected) - 1
@@ -212,7 +213,7 @@ def _ols_stats(
     sigma2 = rss / df
     se = np.sqrt(np.maximum(sigma2 * np.diag(Ginv), 1e-300))
     tvals = beta / se
-    pvals = 2.0 * t_dist.sf(np.abs(tvals), df)
+    pvals = 2.0 * stdtr(df, -np.abs(tvals))  # 2 t.sf(|t|, df)
     return beta, rss, pvals
 
 
@@ -309,11 +310,15 @@ def _fit_standardized(
     y_std = float(y.std(ddof=1))
     if y_std == 0.0:
         return None
-    keep = [j for j in range(X.shape[1]) if float(np.std(X[:, j], ddof=1)) > 0.0]
-    if not keep:
+    # zscore_fit's exact constant test. Index with `keep` even when it holds
+    # every column: X[:, keep] is a copy laid out differently from X, and
+    # the column means and stds sum in a layout-dependent order.
+    keep = np.flatnonzero(X.max(axis=0) > X.min(axis=0))
+    if not keep.size:
         return None
-    stz = zscore_fit(X[:, keep], [names[j] for j in keep])
-    Z = stz.apply(X[:, keep])
+    Xk = X[:, keep]
+    stz = zscore_fit(Xk, [names[j] for j in keep])
+    Z = stz.apply(Xk)
     zy = (y - y_mean) / y_std
     model = stepwise_fit(Z, zy, stz.names, entry_p=entry_p, removal_p=removal_p)
     return model, stz, y_mean, y_std
@@ -342,6 +347,7 @@ def loocv_stability(
     if X.shape[0] != n or n < 3:
         raise InsufficientDataError("LOOCV needs >= 3 rows")
     overall_set = frozenset(overall.predictors)
+    column = {name: j for j, name in enumerate(names)}
     identical = 0
     preds = np.full(n, np.nan)
     for i in range(n):
@@ -357,7 +363,7 @@ def loocv_stability(
         if frozenset(model_i.predictors) == overall_set:
             identical += 1
         cols = [stz.names.index(name) for name in model_i.predictors]
-        z_row = (X[i][[names.index(nm) for nm in stz.names]] - stz.mean) / stz.std
+        z_row = (X[i][[column[nm] for nm in stz.names]] - stz.mean) / stz.std
         score = float(np.dot(z_row[cols], model_i.betas)) if cols else 0.0
         preds[i] = y_mean + y_std * score
     valid = ~np.isnan(preds)

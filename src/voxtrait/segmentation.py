@@ -138,6 +138,11 @@ def analyze_frames(
     hop_s = int(round(hop * rate))
     if flen <= 1 or hop_s < 1 or hop_s > flen:
         raise InputError("bad frame geometry")
+    shortest = acoustics.min_frame_samples(rate, f0_floor, f0_ceiling)
+    if flen < shortest:
+        raise InputError(
+            f"{flen}-sample frames are too short for the F0 range; need >= {shortest}"
+        )
     x = clip.samples
     if x.size < flen:
         raise ClipTooShortError(

@@ -3,15 +3,30 @@
 Everything here is deliberately written the slow, literal way and shares
 no code with the package: enumeration instead of dynamic programming,
 quadrature instead of library CDFs, explicit DFT/DCT loops instead of FFT
-calls. Tests compare the fast implementations against these.
+calls. Tests compare the fast implementations against these. The last
+sections keep earlier versions of package code verbatim, so that faster
+rewrites can be checked bit for bit against them.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+from typing import Sequence
 
 import numpy as np
+from scipy.stats import f as f_dist
+from scipy.stats import t as t_dist
+
+from voxtrait.errors import ConstantColumnError, InputError, InsufficientDataError
+from voxtrait.regression import (
+    _COLLINEAR_TOL,
+    RegressionModel,
+    StabilityReport,
+    Standardization,
+    _pearson,
+    decide_stable,
+)
 
 
 def rank_abs(values):
@@ -325,6 +340,9 @@ def decode_pcm_reference(body: bytes, bits: int, n_channels: int) -> np.ndarray:
     elif bits == 16:
         raw = np.frombuffer(body, dtype="<i2").astype(np.float64)
         scaled = raw / 32768.0
+    elif bits == 32:
+        raw = np.frombuffer(body, dtype="<i4").astype(np.float64)
+        scaled = raw / 2147483648.0
     else:  # 24-bit: assemble little-endian triplets and sign-extend
         b = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
         val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
@@ -509,3 +527,250 @@ def extract_features_reference(clip, cfg, seg):
         for i in range(8):
             values[f"cep{i + 1}"] = float(means[i])
     return FeatureVector(values)
+
+
+# The stepwise/LOOCV code as it stood before its p-values called
+# scipy.special directly, its constant-column test became max > min and its
+# Gram blocks were indexed without np.ix_. Kept verbatim (zscore_fit and
+# stepwise_fit too, so every call stays inside this copy) to check that
+# those changes leave every model and stability report bit-identical. The
+# result types, decide_stable and _pearson are the package's own.
+
+
+def zscore_fit(X: np.ndarray, names: Sequence[str]) -> Standardization:
+    """Column means and sample standard deviations; rejects constants."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.shape[0] < 2:
+        raise InsufficientDataError("standardization needs >= 2 rows")
+    if X.shape[1] != len(names):
+        raise InputError("names must match the number of columns")
+    mean = X.mean(axis=0)
+    std = X.std(axis=0, ddof=1)
+    for j, s in enumerate(std):
+        if s == 0.0 or not np.isfinite(s):
+            raise ConstantColumnError(f"column {names[j]!r} has zero variance")
+    return Standardization(tuple(names), mean, std)
+
+
+
+def _forward_scan(
+    G: np.ndarray,
+    gy: np.ndarray,
+    syy: float,
+    n: int,
+    selected: list[int],
+    candidates: np.ndarray,
+) -> tuple[int, float] | None:
+    """Best candidate index and its partial-F p-value, or None."""
+    k = len(selected)
+    df2 = n - (k + 1) - 1
+    if df2 < 1 or candidates.size == 0:
+        return None
+    # rss at rounding level means the fit is already exact; without this
+    # guard fp-negative residuals turn every candidate into a fake
+    # perfect-fit entry
+    rss_floor = 1e-12 * max(syy, 1.0)
+    if k:
+        sel = np.asarray(selected)
+        Gss = G[np.ix_(sel, sel)]
+        rhs = np.concatenate((G[np.ix_(sel, candidates)], gy[sel][:, None]), axis=1)
+        try:
+            sol = np.linalg.solve(Gss, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        beta_s = sol[:, -1]
+        rss = syy - float(gy[sel] @ beta_s)
+        if rss <= rss_floor:
+            return None
+        d = G[candidates, candidates] - np.einsum(
+            "ij,ij->j", G[np.ix_(sel, candidates)], sol[:, :-1]
+        )
+        num = gy[candidates] - G[np.ix_(sel, candidates)].T @ beta_s
+    else:
+        rss = syy
+        if rss <= rss_floor:
+            return None
+        d = G[candidates, candidates].copy()
+        num = gy[candidates].copy()
+
+    ok = d > _COLLINEAR_TOL * np.maximum(G[candidates, candidates], 1.0)
+    if not ok.any():
+        return None
+    delta = np.full(candidates.size, -np.inf)
+    delta[ok] = num[ok] ** 2 / d[ok]
+    resid = rss - delta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        F = np.where(resid > 0, delta * df2 / np.maximum(resid, 1e-300), np.inf)
+    F[~ok] = -np.inf
+    p = np.full(candidates.size, np.inf)
+    finite = np.isfinite(F) & ok
+    p[finite] = f_dist.sf(F[finite], 1, df2)
+    p[ok & ~finite] = 0.0  # perfect fit
+    best = int(np.argmin(p))
+    if not np.isfinite(p[best]):
+        return None
+    return int(candidates[best]), float(p[best])
+
+
+def _ols_stats(
+    G: np.ndarray, gy: np.ndarray, syy: float, n: int, selected: list[int]
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(betas, rss, two-sided p per included predictor)."""
+    sel = np.asarray(selected)
+    Gss = G[np.ix_(sel, sel)]
+    Ginv = np.linalg.inv(Gss)
+    beta = Ginv @ gy[sel]
+    rss = max(syy - float(gy[sel] @ beta), 0.0)
+    df = n - len(selected) - 1
+    if df < 1:
+        return beta, rss, np.zeros(len(selected))
+    sigma2 = rss / df
+    se = np.sqrt(np.maximum(sigma2 * np.diag(Ginv), 1e-300))
+    tvals = beta / se
+    pvals = 2.0 * t_dist.sf(np.abs(tvals), df)
+    return beta, rss, pvals
+
+
+def stepwise_fit(
+    Z: np.ndarray,
+    zy: np.ndarray,
+    names: Sequence[str],
+    entry_p: float = 0.05,
+    removal_p: float = 0.10,
+) -> RegressionModel:
+    """Forward/backward stepwise OLS on standardized data.
+
+    Entry: the candidate with the smallest partial-F p enters when
+    p * n_candidates < entry_p. Removal: the worst included predictor
+    leaves when its p exceeds removal_p. Repeats until a full pass changes
+    nothing. Candidates collinear with the current set are skipped, which
+    deterministically drops the later-indexed column of a collinear pair.
+    Empty models are legal and come back with train_r = 0.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    zy = np.asarray(zy, dtype=np.float64).ravel()
+    if Z.ndim != 2 or Z.shape[0] != zy.size:
+        raise InputError("Z must be (n, p) with one y per row")
+    n, p = Z.shape
+    if len(names) != p:
+        raise InputError("names must match the number of columns")
+    if n < 4:
+        raise InsufficientDataError(f"stepwise fit needs >= 4 rows, got {n}")
+
+    G = Z.T @ Z
+    gy = Z.T @ zy
+    syy = float(zy @ zy)
+
+    selected: list[int] = []
+    seen: set[tuple[int, ...]] = set()
+    for _ in range(4 * p + 4):
+        changed = False
+        in_set = set(selected)
+        candidates = np.asarray([j for j in range(p) if j not in in_set], dtype=np.int64)
+        hit = _forward_scan(G, gy, syy, n, selected, candidates)
+        if hit is not None:
+            j, pval = hit
+            if pval * candidates.size < entry_p:
+                selected.append(j)
+                changed = True
+        while len(selected) > 0:
+            _, _, pvals = _ols_stats(G, gy, syy, n, selected)
+            worst = int(np.argmax(pvals))
+            if pvals[worst] > removal_p:
+                del selected[worst]
+                changed = True
+            else:
+                break
+        key = tuple(sorted(selected))
+        if not changed or key in seen:
+            break
+        seen.add(key)
+
+    if not selected:
+        return RegressionModel(predictors=(), betas=(), train_r=0.0)
+    beta, rss, _ = _ols_stats(G, gy, syy, n, selected)
+    train_r = math.sqrt(max(1.0 - rss / syy, 0.0)) if syy > 0 else 0.0
+    return RegressionModel(
+        predictors=tuple(names[j] for j in selected),
+        betas=tuple(float(b) for b in beta),
+        train_r=float(train_r),
+    )
+def _fit_standardized(
+    X: np.ndarray,
+    y: np.ndarray,
+    names: Sequence[str],
+    entry_p: float,
+    removal_p: float,
+) -> tuple[RegressionModel, Standardization, float, float] | None:
+    """Standardize and fit; None when y or every column is constant."""
+    y = np.asarray(y, dtype=np.float64)
+    y_mean = float(y.mean())
+    y_std = float(y.std(ddof=1))
+    if y_std == 0.0:
+        return None
+    keep = [j for j in range(X.shape[1]) if float(np.std(X[:, j], ddof=1)) > 0.0]
+    if not keep:
+        return None
+    stz = zscore_fit(X[:, keep], [names[j] for j in keep])
+    Z = stz.apply(X[:, keep])
+    zy = (y - y_mean) / y_std
+    model = stepwise_fit(Z, zy, stz.names, entry_p=entry_p, removal_p=removal_p)
+    return model, stz, y_mean, y_std
+
+
+def loocv_stability(
+    X: np.ndarray,
+    y: np.ndarray,
+    names: Sequence[str],
+    overall: RegressionModel,
+    entry_p: float = 0.05,
+    removal_p: float = 0.10,
+    min_identical_fraction: float = 0.75,
+    min_r_ratio: float = 0.75,
+) -> StabilityReport:
+    """Leave-one-out refits of the whole stepwise pipeline.
+
+    Each fold re-standardizes with its own training statistics, refits, and
+    predicts the held-out rating. A fold counts as identical when its
+    selected predictor-name set matches the overall model's. Degenerate
+    folds (constant rating) count as non-identical and yield no prediction.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = y.size
+    if X.shape[0] != n or n < 3:
+        raise InsufficientDataError("LOOCV needs >= 3 rows")
+    overall_set = frozenset(overall.predictors)
+    identical = 0
+    preds = np.full(n, np.nan)
+    for i in range(n):
+        mask = np.ones(n, dtype=bool)
+        mask[i] = False
+        try:
+            fitted = _fit_standardized(X[mask], y[mask], names, entry_p, removal_p)
+        except InsufficientDataError:
+            fitted = None  # fold too small to refit; treat like a constant fold
+        if fitted is None:
+            continue
+        model_i, stz, y_mean, y_std = fitted
+        if frozenset(model_i.predictors) == overall_set:
+            identical += 1
+        cols = [stz.names.index(name) for name in model_i.predictors]
+        z_row = (X[i][[names.index(nm) for nm in stz.names]] - stz.mean) / stz.std
+        score = float(np.dot(z_row[cols], model_i.betas)) if cols else 0.0
+        preds[i] = y_mean + y_std * score
+    valid = ~np.isnan(preds)
+    r_loocv = _pearson(preds[valid], y[valid]) if valid.sum() >= 2 else 0.0
+    fraction = identical / n
+    return StabilityReport(
+        n_folds=n,
+        fraction_identical=fraction,
+        r_loocv=r_loocv,
+        r_overall=overall.train_r,
+        stable=decide_stable(
+            fraction, r_loocv, overall.train_r, min_identical_fraction, min_r_ratio
+        ),
+    )
+

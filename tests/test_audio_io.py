@@ -119,6 +119,15 @@ def test_twenty_four_bit_decoding(tmp_path):
     assert np.allclose(clip.samples, expect)
 
 
+def test_thirty_two_bit_decoding(tmp_path):
+    vals = [0x7FFFFFFF, -0x80000000, 0, 0x40000000, -1]
+    path = tmp_path / "s32.wav"
+    path.write_bytes(_riff(_fmt(1, 1, 48000, 32), struct.pack("<5i", *vals)))
+    clip = load_wav(str(path))
+    assert clip.sample_rate == 48000
+    assert clip.samples.tolist() == [v / 2**31 for v in vals]
+
+
 def test_stereo_averaged_to_mono(tmp_path):
     frames = struct.pack("<4h", 16384, -16384, 8192, 8192)
     path = tmp_path / "st.wav"
@@ -132,10 +141,11 @@ def test_rejects_non_pcm_and_bad_depths(tmp_path):
     p1.write_bytes(_riff(_fmt(3, 1, RATE, 32), b"\x00" * 8))
     with pytest.raises(NonPcmError):
         load_wav(str(p1))
-    p2 = tmp_path / "b32.wav"
-    p2.write_bytes(_riff(_fmt(1, 1, RATE, 32), b"\x00" * 8))
-    with pytest.raises(NonPcmError):
-        load_wav(str(p2))
+    p2 = tmp_path / "odd_depth.wav"
+    for bits in (12, 64):
+        p2.write_bytes(_riff(_fmt(1, 1, RATE, bits), b"\x00" * 16))
+        with pytest.raises(NonPcmError):
+            load_wav(str(p2))
 
 
 _PCM_GUID = uuid.UUID("00000001-0000-0010-8000-00aa00389b71").bytes_le
@@ -147,7 +157,9 @@ def _fmt_extensible(channels, rate, bits, guid, cb_size=22):
     return _fmt(0xFFFE, channels, rate, bits) + struct.pack("<H", cb_size) + ext
 
 
-@pytest.mark.parametrize("channels,bits", [(1, 16), (2, 16), (2, 24), (1, 8)])
+@pytest.mark.parametrize(
+    "channels,bits", [(1, 16), (2, 16), (2, 24), (1, 8), (1, 32), (2, 32)]
+)
 def test_extensible_pcm_matches_plain_pcm(tmp_path, channels, bits):
     body = np.random.default_rng(bits + channels).bytes(channels * (bits // 8) * 500)
     plain = tmp_path / "plain.wav"
@@ -164,8 +176,8 @@ def test_extensible_rejects_other_subformats_and_truncation(tmp_path):
     p.write_bytes(_riff(_fmt_extensible(1, RATE, 32, _FLOAT_GUID), b"\x00" * 8))
     with pytest.raises(NonPcmError):
         load_wav(str(p))
-    p.write_bytes(_riff(_fmt_extensible(1, RATE, 32, _PCM_GUID), b"\x00" * 8))
-    with pytest.raises(NonPcmError):  # 32-bit integer PCM stays unsupported
+    p.write_bytes(_riff(_fmt_extensible(1, RATE, 64, _PCM_GUID), b"\x00" * 16))
+    with pytest.raises(NonPcmError):  # 64-bit integer PCM is unsupported
         load_wav(str(p))
     full = _fmt_extensible(1, RATE, 16, _PCM_GUID)
     for fmt in (
@@ -182,7 +194,7 @@ def test_extensible_rejects_other_subformats_and_truncation(tmp_path):
         load_wav(str(p))
 
 
-@pytest.mark.parametrize("bits", [8, 16, 24])
+@pytest.mark.parametrize("bits", [8, 16, 24, 32])
 @pytest.mark.parametrize("channels", [1, 2, 3])
 def test_block_decode_matches_whole_array_decode(tmp_path, bits, channels):
     frame = channels * (bits // 8)

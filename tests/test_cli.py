@@ -136,6 +136,18 @@ def test_extract_config_override_lands_in_sidecar(corpus, tmp_path, capsys):
     assert sidecar["config"]["pause_min_duration"] == 0.9
 
 
+def test_extract_rejects_frames_too_short_for_the_pitch_range(corpus, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame_length": 0.002, "frame_hop": 0.001}))
+    out = str(tmp_path / "f.csv")
+    code = main(["extract", "--config", str(cfg), "--manifest", corpus.manifest, "--out", out])
+    assert code == 2
+    assert not os.path.exists(out)  # rejected before any recording ran
+    err = capsys.readouterr().err
+    assert "frame_length" in err
+    assert "warning" not in err
+
+
 def test_compare_topics_merges_both_tests(features_csv, tmp_path, capsys):
     out = str(tmp_path / "matrix.csv")
     code = main(["compare-topics", "--features", features_csv, "--out", out, "--test", "both"])

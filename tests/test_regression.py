@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import fdtrc, stdtr
+from scipy.stats import f as f_dist
+from scipy.stats import t as t_dist
 
 from voxtrait.errors import (
     ConstantColumnError,
@@ -10,11 +13,15 @@ from voxtrait.errors import (
     InsufficientDataError,
     TableFormatError,
 )
-from voxtrait.features import FEATURE_NAMES, FeatureTable, FeatureVector
+from voxtrait.features import FEATURE_NAMES, SESSIONS, FeatureTable, FeatureVector
 from voxtrait.regression import (
+    DV_NAMES,
     RatingTable,
     RegressionModel,
     Thresholds,
+    _fit_standardized,
+    _forward_scan,
+    _ols_stats,
     assemble_design,
     cross_session_eval,
     decide_stable,
@@ -27,6 +34,8 @@ from voxtrait.regression import (
     write_ratings_csv,
     zscore_fit,
 )
+
+import oracles
 
 NAMES30 = [f"v{j:02d}" for j in range(30)]
 
@@ -54,6 +63,20 @@ def test_zscore_fit_rejections():
         zscore_fit(np.array([[1.0]]), ["a"])
     with pytest.raises(InputError):
         zscore_fit(np.zeros((3, 2)), ["a"])
+
+
+def test_constant_column_is_detected_exactly():
+    flat = np.full(199, 0.1)
+    assert np.std(flat, ddof=1) > 0.0  # rounding: the std test alone misses it
+    with pytest.raises(ConstantColumnError, match="harmonicity"):
+        zscore_fit(flat[:, None], ["harmonicity"])
+    rng = np.random.default_rng(5)
+    a, c = rng.standard_normal((2, 199))
+    X = np.column_stack([a, flat, c])
+    y = a + 0.5 * rng.standard_normal(199)
+    model, stz, _, _ = _fit_standardized(X, y, ["a", "harmonicity", "c"], 0.05, 0.10)
+    assert stz.names == ("a", "c")
+    assert "a" in model.predictors
 
 
 # --------------------------------------------------------- stepwise core
@@ -236,6 +259,85 @@ def test_loocv_detects_unstable_noise():
     # empty overall model: folds agreeing on "nothing" still mean there is
     # no usable signal, so the r gate must fail
     assert report.stable is False
+
+
+def _seeded_table(n_speakers=48, seed=11):
+    """Every descriptor at its own offset and scale, nine ratings per speaker.
+
+    A latent attitude drives pause_speech_ratio and every rating; two
+    ratings also follow a second descriptor, so models of several
+    predictors come up.
+    """
+    rng = np.random.default_rng(seed)
+    loc = 10.0 ** rng.uniform(-2.0, 3.5, len(FEATURE_NAMES))
+    scale = loc * rng.uniform(0.02, 0.5, len(FEATURE_NAMES))
+    psr = FEATURE_NAMES.index("pause_speech_ratio")
+    table = FeatureTable()
+    ratings = RatingTable()
+    for i in range(n_speakers):
+        sid = f"sp{i:03d}"
+        attitude = rng.standard_normal()
+        trait = rng.standard_normal(len(FEATURE_NAMES))
+        for session in SESSIONS:
+            z = 0.8 * trait + 0.6 * rng.standard_normal(len(FEATURE_NAMES))
+            z[psr] = -attitude + 0.2 * rng.standard_normal()
+            values = loc + scale * z
+            table.add(sid, session, FeatureVector(dict(zip(FEATURE_NAMES, values))))
+        for k, dv in enumerate(DV_NAMES):
+            raw = 4.0 + (1.9 if k % 2 else -1.9) * attitude + 0.7 * rng.standard_normal()
+            if k in (2, 5):
+                raw += 0.8 * trait[k]
+            ratings.add(sid, dv, "P", int(min(7, max(1, round(raw)))))
+    return table, ratings
+
+
+def test_fit_and_loocv_equal_the_reference_copy():
+    """Every model and stability report is == the verbatim older code's."""
+    table, ratings = _seeded_table()
+    th = Thresholds()
+    sizes = set()
+    for dv in DV_NAMES:
+        for session in SESSIONS:
+            X, y, names, _ = assemble_design(table, ratings, dv, session, "P")
+            got = _fit_standardized(X, y, names, th.entry_p, th.removal_p)
+            want = oracles._fit_standardized(X, y, names, th.entry_p, th.removal_p)
+            assert got[0] == want[0]
+            assert got[1].names == want[1].names
+            assert np.array_equal(got[1].mean, want[1].mean)
+            assert np.array_equal(got[1].std, want[1].std)
+            assert got[2:] == want[2:]
+            assert loocv_stability(X, y, names, got[0]) == oracles.loocv_stability(
+                X, y, names, want[0]
+            )
+            sizes.add(len(got[0].predictors))
+    assert max(sizes) >= 2
+
+
+def test_scan_and_ols_stats_equal_the_reference_copy():
+    """Bit-equal entry p-values and OLS statistics on random selections."""
+    rng = np.random.default_rng(2)
+    n, p = 120, 30
+    for _ in range(300):
+        Z = rng.standard_normal((n, p))
+        zy = Z[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
+        G, gy, syy = Z.T @ Z, Z.T @ zy, float(zy @ zy)
+        selected = [int(j) for j in rng.choice(p, int(rng.integers(0, 8)), replace=False)]
+        candidates = np.setdiff1d(np.arange(p), selected)
+        args = (G, gy, syy, n, selected)
+        assert _forward_scan(*args, candidates) == oracles._forward_scan(*args, candidates)
+        if selected:
+            beta, rss, pvals = _ols_stats(*args)
+            want = oracles._ols_stats(*args)
+            assert np.array_equal(beta, want[0]) and rss == want[1]
+            assert np.array_equal(pvals, want[2])
+
+
+def test_direct_p_values_equal_scipy_stats():
+    """fdtrc/stdtr are what f.sf/t.sf compute; a scipy that changes that shows here."""
+    x = np.concatenate(([0.0], np.logspace(-10, 4, 600), [1e8]))
+    for df in (1, 2, 3, 5, 10, 26, 47, 100, 197, 1000, 10**6):
+        assert np.array_equal(fdtrc(1, df, x), f_dist.sf(x, 1, df))
+        assert np.array_equal(stdtr(df, -x), t_dist.sf(x, df))
 
 
 def test_loocv_needs_three_rows():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from voxtrait import acoustics
 from voxtrait.audio_io import AudioClip
+from voxtrait.config import RunConfig
 from voxtrait.errors import ClipTooShortError, InputError
 from voxtrait.segmentation import (
     FRAME_BLOCK,
@@ -108,6 +109,22 @@ def test_clip_too_short_for_one_frame():
         analyze_frames(AudioClip(np.zeros(100), RATE))
     with pytest.raises(InputError):
         analyze_frames(AudioClip(np.zeros(1000), RATE), frame_length=0.01, hop=0.02)
+
+
+def test_frame_too_short_for_the_pitch_range():
+    # the normalized autocorrelation keeps 8 samples of overlap, so a frame
+    # needs the lowest pitch lag (ceil(11025 / 500) = 23) plus 8 samples
+    shortest = acoustics.min_frame_samples(RATE, 75.0, 500.0)
+    assert shortest == 31
+    clip = AudioClip(np.zeros(1000), RATE)
+    for frame_length in (0.002, (shortest - 1) / RATE):
+        with pytest.raises(InputError, match="too short"):
+            analyze_frames(clip, frame_length=frame_length, hop=0.001)
+        with pytest.raises(InputError, match="frame_length"):
+            RunConfig(frame_length=frame_length, frame_hop=0.001)
+    track = analyze_frames(clip, frame_length=shortest / RATE, hop=0.001)
+    assert track.frame_length_samples == shortest
+    assert RunConfig(frame_length=shortest / RATE, frame_hop=0.001)
 
 
 def test_detect_vowels_needs_voiced_peaks():
