@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import hashlib
 import os
 
 import numpy as np
@@ -43,6 +44,23 @@ def test_corpus_is_reproducible_byte_for_byte(tmp_path):
         os.path.join(c.wav_dir, "sp01_S1.wav"),
         shallow=False,
     )
+
+
+# sha256 of the six WAVs of generate_corpus(n_speakers=2, seed=3), read in
+# sorted file-name order. These files are the acceptance checks' data: a
+# change to synthesis must leave every byte as it is, not update this pin.
+SEED3_WAV_SHA256 = "504bc0d7e2729cf3ece46fc38da3cd913efec94a2998b182b5bcc8fdbbd4a964"
+
+
+def test_corpus_wav_bytes_are_pinned(tmp_path):
+    paths = generate_corpus(str(tmp_path), n_speakers=2, seed=3)
+    names = sorted(os.listdir(paths.wav_dir))
+    assert len(names) == 6
+    digest = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(paths.wav_dir, name), "rb") as fh:
+            digest.update(fh.read())
+    assert digest.hexdigest() == SEED3_WAV_SHA256
 
 
 def test_corpus_inventory(corpus):
