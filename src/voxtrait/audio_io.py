@@ -4,17 +4,20 @@ Clips are canonicalized to mono float64 in [-1, 1]. Integer PCM is scaled by
 2**(bits-1), so a 16-bit sample of 32767 maps to 32767/32768. Analysis
 elsewhere assumes the canonical 11025 Hz rate; `resample` gets clips there.
 
-Decoding holds the file bytes and the mono output, plus a few MB of
-per-block temporaries however long the clip is.
+Decoding reads the data chunk block by block into one reused buffer, so it
+holds the mono output plus a few MB of per-block temporaries however long
+the clip is; the file's bytes are never held whole.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import uuid
 import wave
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 from scipy.signal import upfirdn
@@ -69,35 +72,46 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-def _find_chunks(data: bytes) -> dict[bytes, memoryview]:
-    """First body of each chunk id, as views into `data` (no copies)."""
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavReadError("not a RIFF/WAVE file")
-    view = memoryview(data)
-    chunks: dict[bytes, memoryview] = {}
+def _find_chunks(fh: BinaryIO) -> dict[bytes, tuple[int, int]]:
+    """File offset and size of the first body of each chunk id.
+
+    Reads only the 8-byte chunk headers. A size that runs past the end of
+    the file is cut to the bytes that are there.
+    """
+    header = fh.read(12)
+    if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
+        raise WavReadError(f"{fh.name}: not a RIFF/WAVE file")
+    file_size = os.fstat(fh.fileno()).st_size
+    chunks: dict[bytes, tuple[int, int]] = {}
     pos = 12
-    while pos + 8 <= len(data):
-        cid = data[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8 : pos + 8 + size]
+    while pos + 8 <= file_size:
+        fh.seek(pos)
+        head = fh.read(8)
+        if len(head) < 8:
+            break
+        cid = head[:4]
+        (size,) = struct.unpack_from("<I", head, 4)
         if cid not in chunks:
-            chunks[cid] = body
+            chunks[cid] = (pos + 8, min(size, file_size - pos - 8))
         pos += 8 + size + (size & 1)  # chunk bodies are word-aligned
     return chunks
 
 
-def _decode_pcm(body: memoryview, bits: int, n_channels: int, n_frames: int) -> np.ndarray:
-    """Mono float64 samples of interleaved integer PCM.
+def _decode_pcm(fh: BinaryIO, bits: int, n_channels: int, n_frames: int) -> np.ndarray:
+    """Mono float64 samples of interleaved integer PCM read from `fh`.
 
-    Works through DECODE_BLOCK_FRAMES frames at a time. Each sample goes
-    integer -> float64 -> scaled by 2**(bits-1), then each frame's channels
-    are averaged, exactly as a whole-array decode would.
+    Reads DECODE_BLOCK_FRAMES frames at a time into one reused buffer. Each
+    sample goes integer -> float64 -> scaled by 2**(bits-1), then each
+    frame's channels are averaged, exactly as a whole-array decode would.
     """
     mono = np.empty(n_frames)
     frame_size = (bits // 8) * n_channels
+    buf = memoryview(bytearray(min(n_frames, DECODE_BLOCK_FRAMES) * frame_size))
     for start in range(0, n_frames, DECODE_BLOCK_FRAMES):
         stop = min(start + DECODE_BLOCK_FRAMES, n_frames)
-        chunk = body[start * frame_size : stop * frame_size]
+        chunk = buf[: (stop - start) * frame_size]
+        if fh.readinto(chunk) != len(chunk):
+            raise WavReadError(f"{fh.name}: data chunk ended while being read")
         if bits == 8:
             raw = np.frombuffer(chunk, dtype=np.uint8).astype(np.float64)
             scaled = (raw - 128.0) / 128.0
@@ -127,43 +141,51 @@ def load_wav(path: str, source_id: str | None = None) -> AudioClip:
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            chunks = _find_chunks(fh)
+            if b"fmt " not in chunks or b"data" not in chunks:
+                raise WavReadError(f"{path}: missing fmt or data chunk")
+            fmt_pos, fmt_size = chunks[b"fmt "]
+            fh.seek(fmt_pos)
+            # the longest layout checked below is the 40-byte extensible one
+            fmt = fh.read(min(fmt_size, 40))
+            if len(fmt) < 16:
+                raise WavReadError(f"{path}: fmt chunk truncated")
+            audio_format, n_channels, rate, _, block_align, bits = struct.unpack_from(
+                "<HHIIHH", fmt
+            )
+            if audio_format == _FORMAT_EXTENSIBLE:
+                # cbSize, then wValidBitsPerSample, dwChannelMask and the
+                # SubFormat GUID; samples sit in containers of `bits`, so valid
+                # bits and the channel mask do not change the decode.
+                if len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
+                    raise WavReadError(f"{path}: extensible fmt chunk truncated")
+                if fmt[24:40] != _PCM_SUBFORMAT:
+                    raise NonPcmError(
+                        f"{path}: extensible WAV SubFormat is not linear PCM"
+                    )
+            elif audio_format != _FORMAT_PCM:
+                raise NonPcmError(
+                    f"{path}: WAV format code {audio_format} is not linear PCM"
+                )
+            if bits not in (8, 16, 24, 32):
+                raise NonPcmError(f"{path}: {bits}-bit PCM is not supported")
+            if n_channels < 1 or rate <= 0:
+                raise WavReadError(f"{path}: malformed fmt chunk")
+
+            data_pos, data_size = chunks[b"data"]
+            frame_size = (bits // 8) * n_channels
+            if block_align and block_align != frame_size:
+                raise WavReadError(
+                    f"{path}: block alignment does not match sample layout"
+                )
+            n_frames = data_size // frame_size
+            if n_frames == 0:
+                raise EmptyAudioError(f"{path}: zero-length data chunk")
+            fh.seek(data_pos)
+            mono = _decode_pcm(fh, bits, n_channels, n_frames)
     except OSError as exc:
         raise WavReadError(f"cannot read {path}: {exc}") from exc
 
-    chunks = _find_chunks(data)
-    if b"fmt " not in chunks or b"data" not in chunks:
-        raise WavReadError(f"{path}: missing fmt or data chunk")
-    fmt = chunks[b"fmt "]
-    if len(fmt) < 16:
-        raise WavReadError(f"{path}: fmt chunk truncated")
-    audio_format, n_channels, rate, _, block_align, bits = struct.unpack_from(
-        "<HHIIHH", fmt
-    )
-    if audio_format == _FORMAT_EXTENSIBLE:
-        # cbSize, then wValidBitsPerSample, dwChannelMask and the SubFormat
-        # GUID; samples sit in containers of `bits`, so valid bits and the
-        # channel mask do not change the decode.
-        if len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
-            raise WavReadError(f"{path}: extensible fmt chunk truncated")
-        if bytes(fmt[24:40]) != _PCM_SUBFORMAT:
-            raise NonPcmError(f"{path}: extensible WAV SubFormat is not linear PCM")
-    elif audio_format != _FORMAT_PCM:
-        raise NonPcmError(f"{path}: WAV format code {audio_format} is not linear PCM")
-    if bits not in (8, 16, 24, 32):
-        raise NonPcmError(f"{path}: {bits}-bit PCM is not supported")
-    if n_channels < 1 or rate <= 0:
-        raise WavReadError(f"{path}: malformed fmt chunk")
-
-    body = chunks[b"data"]
-    frame_size = (bits // 8) * n_channels
-    if block_align and block_align != frame_size:
-        raise WavReadError(f"{path}: block alignment does not match sample layout")
-    n_frames = len(body) // frame_size
-    if n_frames == 0:
-        raise EmptyAudioError(f"{path}: zero-length data chunk")
-
-    mono = _decode_pcm(body, bits, n_channels, n_frames)
     sid = source_id if source_id is not None else path
     return AudioClip(samples=mono, sample_rate=int(rate), source_id=sid)
 

@@ -73,7 +73,14 @@ def zscore_fit(X: np.ndarray, names: Sequence[str]) -> Standardization:
     std = X.std(axis=0, ddof=1)
     # max == min is the exact constant test: the std of a constant column
     # can round to a tiny nonzero value (19 copies of 0.1 give 1.4e-17)
-    ok = (X.max(axis=0) > X.min(axis=0)) & (std > 0.0) & np.isfinite(std)
+    varies = X.max(axis=0) > X.min(axis=0)
+    # At tiny scales (about 1e-170) the squared deviations underflow and a
+    # varying column's std comes out 0; those columns, and only those, are
+    # measured again after scaling by their largest magnitude.
+    for j in np.flatnonzero(varies & (std == 0.0)):
+        m = np.abs(X[:, j]).max()
+        std[j] = m * (X[:, j] / m).std(ddof=1)
+    ok = varies & (std > 0.0) & np.isfinite(std)
     if not ok.all():
         name = names[int(np.argmin(ok))]
         raise ConstantColumnError(f"column {name!r} has zero variance")

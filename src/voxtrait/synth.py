@@ -120,8 +120,19 @@ def synthesize_vowel(
     inst = f0 * (1.0 + vibrato * np.sin(2.0 * math.pi * vib_rate * t + vib_phase) + drift * t)
     phase = 2.0 * math.pi * np.cumsum(inst) / rate
     k_max = max(1, int(0.95 * (rate / 2.0) / float(np.max(inst))))
-    k = np.arange(1, k_max + 1)
-    src = (np.cos(np.outer(phase, k)) / k).sum(axis=1)
+    # cos(k*phase) by the Chebyshev recurrence
+    # cos((k+1)p) = 2 cos(p) cos(kp) - cos((k-1)p), one n-sample row at a time
+    # (Press et al., Numerical Recipes, sec. 5.4); terms are added in order of k.
+    cur = np.cos(phase)
+    two_c1 = 2.0 * cur
+    prev, term = np.ones(n_samples), np.empty(n_samples)
+    src = cur.copy()
+    for k in range(2, k_max + 1):
+        np.multiply(two_c1, cur, out=term)
+        np.subtract(term, prev, out=prev)
+        prev, cur = cur, prev
+        np.divide(cur, k, out=term)
+        src += term
     am_rate = 2.0 + 3.0 * rng.uniform()
     am_phase = 2.0 * math.pi * rng.uniform()
     src *= 1.0 + shimmer * np.sin(2.0 * math.pi * am_rate * t + am_phase)

@@ -15,6 +15,7 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
+from scipy.signal import lfilter
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
@@ -27,6 +28,7 @@ from voxtrait.regression import (
     _pearson,
     decide_stable,
 )
+from voxtrait.synth import _resonator
 
 
 def rank_abs(values):
@@ -774,3 +776,48 @@ def loocv_stability(
         ),
     )
 
+
+
+# The vowel synthesizer as it was before the harmonic source moved to the
+# Chebyshev recurrence: one n x K cosine matrix, summed along its rows.
+# _resonator is the package's own.
+
+
+def synthesize_vowel_reference(
+    rate: int,
+    f0: float,
+    formants: tuple[float, ...],
+    bandwidths: tuple[float, ...],
+    n_samples: int,
+    rng: np.random.Generator,
+    vibrato: float = 0.004,
+    shimmer: float = 0.02,
+) -> np.ndarray:
+    """Harmonic source with slow F0/amplitude drift into a resonator cascade."""
+    if n_samples <= 0:
+        return np.zeros(0)
+    t = np.arange(n_samples) / rate
+    vib_rate = 4.5 + 2.0 * rng.uniform()
+    vib_phase = 2.0 * math.pi * rng.uniform()
+    drift = 0.008 * (rng.uniform() - 0.5)
+    inst = f0 * (1.0 + vibrato * np.sin(2.0 * math.pi * vib_rate * t + vib_phase) + drift * t)
+    phase = 2.0 * math.pi * np.cumsum(inst) / rate
+    k_max = max(1, int(0.95 * (rate / 2.0) / float(np.max(inst))))
+    k = np.arange(1, k_max + 1)
+    src = (np.cos(np.outer(phase, k)) / k).sum(axis=1)
+    am_rate = 2.0 + 3.0 * rng.uniform()
+    am_phase = 2.0 * math.pi * rng.uniform()
+    src *= 1.0 + shimmer * np.sin(2.0 * math.pi * am_rate * t + am_phase)
+    y = src
+    for freq, bw in zip(formants, bandwidths):
+        b, a = _resonator(freq, bw, rate)
+        y = lfilter(b, a, y)
+    edge = min(int(0.010 * rate), n_samples // 2)
+    if edge > 0:
+        ramp = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, edge))
+        y[:edge] *= ramp
+        y[-edge:] *= ramp[::-1]
+    peak = float(np.max(np.abs(y)))
+    if peak > 0.0:
+        y = y / peak
+    return y

@@ -1,16 +1,20 @@
 """WAV container handling and rate conversion."""
 
+import io
 import math
 import os
 import struct
 import tempfile
+import tracemalloc
 import uuid
+import wave
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxtrait import audio_io
 from voxtrait.audio_io import (
     DECODE_BLOCK_FRAMES,
     AudioClip,
@@ -212,6 +216,74 @@ def test_block_decode_matches_whole_array_decode(tmp_path, bits, channels):
         got = load_wav(str(path)).samples
         assert got.size == n_frames
         assert np.array_equal(got, decode_pcm_reference(body, bits, channels))
+
+
+def _write_long_stereo(path, seconds, rate=44100):
+    """A 16-bit stereo WAV of `seconds`, written one second at a time."""
+    second = np.random.default_rng(seconds).integers(
+        -32768, 32768, size=2 * rate, dtype="<i2"
+    ).tobytes()
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(2)
+        wf.setsampwidth(2)
+        wf.setframerate(rate)
+        for _ in range(seconds):
+            wf.writeframesraw(second)
+
+
+@pytest.mark.parametrize("minutes", [1, 4])
+def test_decode_memory_does_not_grow_with_the_file(tmp_path, minutes):
+    # Only the mono output grows with the clip: the data chunk is read block
+    # by block into one buffer, never held whole as bytes.
+    path = tmp_path / "long.wav"
+    _write_long_stereo(path, 60 * minutes)
+    tracemalloc.start()
+    try:
+        clip = load_wav(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clip.samples.size == 60 * minutes * 44100
+    assert peak - clip.samples.nbytes < 8 * 2**20
+
+
+def test_os_error_while_reading_data_is_a_wav_read_error(tmp_path, monkeypatch):
+    path = tmp_path / "tone.wav"
+    write_wav(str(path), np.zeros(100), RATE)
+
+    class FailingReader(io.BufferedReader):
+        def readinto(self, buf):
+            raise OSError("device went away")
+
+    # the header reads succeed; the first data block fails
+    monkeypatch.setattr(
+        audio_io, "open", lambda p, mode: FailingReader(io.FileIO(p, mode)), raising=False
+    )
+    with pytest.raises(WavReadError, match="device went away"):
+        load_wav(str(path))
+
+
+def test_first_chunk_wins_and_short_data_is_cut_to_the_file(tmp_path):
+    one = struct.pack("<h", 16384)
+    fmt = _fmt(1, 1, RATE, 16)
+    fmt_chunk = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    second_fmt = b"fmt " + struct.pack("<I", len(fmt)) + _fmt(1, 2, 8000, 16)
+    body = (
+        fmt_chunk
+        + b"data" + struct.pack("<I", 2) + one
+        + second_fmt
+        + b"data" + struct.pack("<I", 4) + one + one
+    )
+    path = tmp_path / "two_of_each.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    clip = load_wav(str(path))
+    assert clip.sample_rate == RATE
+    assert clip.samples.tolist() == [0.5]
+
+    # a data size that runs past the end of the file reads what is there
+    cut = fmt_chunk + b"data" + struct.pack("<I", 1000) + one * 3 + b"\x01"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(cut)) + b"WAVE" + cut)
+    assert load_wav(str(path)).samples.tolist() == [0.5, 0.5, 0.5]
 
 
 def test_rejects_broken_containers(tmp_path):

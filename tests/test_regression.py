@@ -79,6 +79,24 @@ def test_constant_column_is_detected_exactly():
     assert "a" in model.predictors
 
 
+def test_tiny_scale_column_is_standardized():
+    # At 1e-170 the squared deviations underflow, so np.std reads 0.0 for a
+    # column that varies; its std must still come out at the right scale.
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 50))
+    tiny = 1e-170 * b
+    assert np.std(tiny, ddof=1) == 0.0 and tiny.max() > tiny.min()
+    stz = zscore_fit(np.column_stack([a, tiny]), ["a", "tiny"])
+    assert stz.std[0] == np.std(a, ddof=1)  # other columns: same arithmetic
+    assert stz.std[1] == pytest.approx(1e-170 * np.std(b, ddof=1), rel=1e-12)
+    assert np.allclose(stz.apply(np.column_stack([a, tiny]))[:, 1], (b - b.mean()) / b.std(ddof=1))
+
+    y = b + 0.3 * rng.standard_normal(50)
+    model, stz, _, _ = _fit_standardized(np.column_stack([a, tiny]), y, ["a", "tiny"], 0.05, 0.10)
+    assert stz.names == ("a", "tiny")
+    assert model.predictors == ("tiny",)
+
+
 # --------------------------------------------------------- stepwise core
 
 

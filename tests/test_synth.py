@@ -14,10 +14,13 @@ from voxtrait.synth import (
     NEGATIVE_DVS,
     POSITIVE_DVS,
     SA_DVS,
+    VOWEL_TABLE,
     generate_corpus,
     synthesize_interview,
     synthesize_vowel,
 )
+
+from oracles import synthesize_vowel_reference
 
 RATE = 11025
 
@@ -99,6 +102,21 @@ def test_vowel_synthesis_shape_and_bounds():
     assert np.all(np.isfinite(v))
     assert np.max(np.abs(v)) == pytest.approx(1.0)
     assert synthesize_vowel(RATE, 150.0, (700.0,), (130.0,), 0, rng).size == 0
+
+
+@pytest.mark.parametrize("f0", [90.0, 150.0, 185.0, 260.0, 400.0])
+def test_recurrence_rounds_like_the_cosine_matrix(f0):
+    # k_max runs from about 13 (400 Hz) to 58 (90 Hz). The recurrence moves
+    # the floats by far less than an int16 step, so every WAV sample rounds
+    # the same way as in the n x K cosine-matrix form it replaced.
+    for i, n in enumerate((1, 110, 2205, 2867)):
+        formants, bandwidths = VOWEL_TABLE[i % len(VOWEL_TABLE)]
+        v = synthesize_vowel(RATE, f0, formants, bandwidths, n, np.random.default_rng(i))
+        ref = synthesize_vowel_reference(
+            RATE, f0, formants, bandwidths, n, np.random.default_rng(i)
+        )
+        assert v.shape == ref.shape == (n,)
+        assert np.array_equal(np.round(v * 32767), np.round(ref * 32767)), (f0, n)
 
 
 def test_interview_layout_tracks_psr_target():
