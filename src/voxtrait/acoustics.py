@@ -125,12 +125,17 @@ def ncc_frames(frames: np.ndarray, max_lag: int) -> np.ndarray:
     np.multiply(spec, power, out=power)
     ac = irfft(power, nfft)[..., : max_lag + 1]
     sq = np.cumsum(x * x, axis=-1)
-    lags = np.arange(max_lag + 1)
-    head = sq[..., n - 1 - lags]
-    before = np.concatenate((np.zeros(sq.shape[:-1] + (1,)), sq[..., :max_lag]), axis=-1)
-    denom = np.sqrt(head * (sq[..., -1:] - before))
-    out = np.where(denom > _TINY, ac / np.maximum(denom, _TINY), 0.0)
-    return np.clip(out, -1.0, 1.0)
+    # energy of the overlapping head x[:n-tau] and tail x[tau:] at each lag
+    head = sq[..., n - 1 - max_lag : n][..., ::-1]
+    denom = np.empty(sq.shape[:-1] + (max_lag + 1,))
+    denom[..., 0] = sq[..., -1]
+    np.subtract(sq[..., -1:], sq[..., :max_lag], out=denom[..., 1:])
+    np.multiply(head, denom, out=denom)
+    np.sqrt(denom, out=denom)
+    live = denom > _TINY
+    np.divide(ac, denom, out=ac, where=live)
+    ac[~live] = 0.0
+    return np.clip(ac, -1.0, 1.0, out=ac)
 
 
 def ncc_curve(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -156,7 +161,7 @@ def _parabolic(y0: float, y1: float, y2: float) -> tuple[float, float] | None:
     denom = y0 - 2.0 * y1 + y2
     if not (abs(denom) > _TINY and y1 >= y0 and y1 >= y2):
         return None
-    delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+    delta = min(max(0.5 * (y0 - y2) / denom, -0.5), 0.5)
     return delta, y1 - 0.25 * (y0 - y2) * delta
 
 
@@ -169,15 +174,15 @@ def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
     best = int(np.argmax(seg)) + lo
     strength = float(curve[best])
     if best > lo:
-        inner = np.arange(lo, best)
+        inner = curve[lo:best]
         ok = (
-            (curve[inner] >= strength - _OCTAVE_MARGIN)
-            & (curve[inner] >= curve[inner - 1])
-            & (curve[inner] >= curve[inner + 1])
+            (inner >= strength - _OCTAVE_MARGIN)
+            & (inner >= curve[lo - 1 : best - 1])
+            & (inner >= curve[lo + 1 : best + 1])
         )
-        hits = inner[ok]
+        hits = np.flatnonzero(ok)
         if hits.size:
-            best = int(hits[0])
+            best = lo + int(hits[0])
             strength = float(curve[best])
     lag = float(best)
     if lo < best < hi:
@@ -341,11 +346,8 @@ def _ppq5(values: np.ndarray) -> float | None:
     mean = float(np.mean(values))
     if mean <= 0:
         return None
-    devs = [
-        abs(values[i] - float(np.mean(values[i - 2 : i + 3])))
-        for i in range(2, values.size - 2)
-    ]
-    return float(np.mean(devs)) / mean
+    centred = (values[:-4] + values[1:-3] + values[2:-2] + values[3:-1] + values[4:]) / 5.0
+    return float(np.mean(np.abs(values[2:-2] - centred))) / mean
 
 
 def jitter_shimmer(

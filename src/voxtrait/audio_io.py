@@ -35,6 +35,7 @@ _CUTOFF_FRACTION = 0.45
 # Sample frames decoded per block. Each block's integer and float
 # temporaries take at most a few MB, whatever the clip length.
 DECODE_BLOCK_FRAMES = 1 << 16
+_PCM_DTYPES = {8: "u1", 16: "<i2", 32: "<i4"}
 
 _FORMAT_PCM = 1
 _FORMAT_EXTENSIBLE = 0xFFFE
@@ -101,32 +102,35 @@ def _decode_pcm(fh: BinaryIO, bits: int, n_channels: int, n_frames: int) -> np.n
     """Mono float64 samples of interleaved integer PCM read from `fh`.
 
     Reads DECODE_BLOCK_FRAMES frames at a time into one reused buffer. Each
-    sample goes integer -> float64 -> scaled by 2**(bits-1), then each
-    frame's channels are averaged, exactly as a whole-array decode would.
+    frame's channels are summed exactly in int64 (8-bit samples less 128
+    each), and the sum is divided once by n_channels * 2**(bits-1). Scaling
+    each sample by the power of two is exact and so is summing the scaled
+    samples, so this is the same single rounding as the float mean of the
+    scaled channels, bit for bit.
     """
     mono = np.empty(n_frames)
     frame_size = (bits // 8) * n_channels
+    scale = float(n_channels << (bits - 1))
     buf = memoryview(bytearray(min(n_frames, DECODE_BLOCK_FRAMES) * frame_size))
     for start in range(0, n_frames, DECODE_BLOCK_FRAMES):
         stop = min(start + DECODE_BLOCK_FRAMES, n_frames)
         chunk = buf[: (stop - start) * frame_size]
         if fh.readinto(chunk) != len(chunk):
             raise WavReadError(f"{fh.name}: data chunk ended while being read")
-        if bits == 8:
-            raw = np.frombuffer(chunk, dtype=np.uint8).astype(np.float64)
-            scaled = (raw - 128.0) / 128.0
-        elif bits == 16:
-            raw = np.frombuffer(chunk, dtype="<i2").astype(np.float64)
-            scaled = raw / 32768.0
-        elif bits == 32:
-            raw = np.frombuffer(chunk, dtype="<i4").astype(np.float64)
-            scaled = raw / float(1 << 31)
-        else:  # 24-bit: assemble little-endian triplets and sign-extend
+        if bits == 24:  # assemble little-endian triplets and sign-extend
             b = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-            val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-            val -= (val & 0x800000) << 1
-            scaled = val.astype(np.float64) / float(1 << 23)
-        mono[start:stop] = scaled.reshape(-1, n_channels).mean(axis=1)
+            raw = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+            raw -= (raw & 0x800000) << 1
+        else:
+            raw = np.frombuffer(chunk, dtype=_PCM_DTYPES[bits])
+        # one strided pass per channel beats a sum over a short last axis
+        frames = raw.reshape(-1, n_channels)
+        total = frames[:, 0].astype(np.int64)
+        for c in range(1, n_channels):
+            total += frames[:, c]
+        if bits == 8:
+            total -= 128 * n_channels
+        np.divide(total, scale, out=mono[start:stop])
     return mono
 
 

@@ -191,11 +191,12 @@ def significance_matrix(
 ) -> SignificanceMatrix:
     """Run one paired test per feature and session transition.
 
-    Arrows come from the sign of the mean shift whenever the cell reaches a
-    significance tier. Cells whose feature data is degenerate (too few
-    pairs, zero variance, all-zero differences) are "none"; but a table
-    with fewer than two speakers having both sessions of some transition is
-    rejected outright.
+    Each arrow is the test's own direction at the looser alpha, so it is
+    drawn exactly when the cell reaches a significance tier: the sign of
+    the mean difference for the t-test, W+ against n(n+1)/4 for Wilcoxon.
+    Cells whose feature data is degenerate (too few pairs, zero variance,
+    all-zero differences) are "none"; but a table with fewer than two
+    speakers having both sessions of some transition is rejected outright.
     """
     if test not in TESTS:
         raise InputError(f"test must be one of {TESTS}")
@@ -224,15 +225,11 @@ def significance_matrix(
             except StatsError:
                 cells[(feature, transition, test)] = MatrixCell("none", "none")
                 continue
-            tier = _tier(res.p_value, alphas)
-            if tier == "none":
-                direction = "none"
-            else:
-                xa, xb = _paired_arrays(a, b)
-                shift = float(np.mean(xb) - np.mean(xa))
-                direction = "up" if shift > 0 else "down" if shift < 0 else "none"
             cells[(feature, transition, test)] = MatrixCell(
-                direction, tier, p_value=res.p_value, n_pairs=res.n_pairs
+                res.direction,
+                _tier(res.p_value, alphas),
+                p_value=res.p_value,
+                n_pairs=res.n_pairs,
             )
     return SignificanceMatrix(features=FEATURE_NAMES, tests=(test,), cells=cells)
 

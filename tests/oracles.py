@@ -15,10 +15,12 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
+from scipy.fft import irfft, rfft
 from scipy.signal import lfilter
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
+from voxtrait.acoustics import _MIN_OVERLAP, _OCTAVE_MARGIN, _TINY
 from voxtrait.errors import ConstantColumnError, InputError, InsufficientDataError
 from voxtrait.regression import (
     _COLLINEAR_TOL,
@@ -357,8 +359,6 @@ def analyze_frames_reference(
     x, rate, frame_length=0.025, hop=0.010, f0_floor=75.0, f0_ceiling=500.0
 ):
     """(energy dB, voicing strength) per frame, all frames in one array."""
-    from scipy.fft import irfft, rfft
-
     flen = int(round(frame_length * rate))
     hop_s = int(round(hop * rate))
     n_frames = (x.size - flen) // hop_s + 1
@@ -821,3 +821,94 @@ def synthesize_vowel_reference(
     if peak > 0.0:
         y = y / peak
     return y
+
+
+# The acoustics kernels as they were before their per-call overhead was cut:
+# ncc_frames with np.where and a clipped copy, _parabolic through np.clip,
+# _pick_peak with np.arange fancy indexing and _ppq5 with one np.mean per
+# cycle. Kept verbatim (this _pick_peak calls this _parabolic); the
+# constants are the package's own.
+
+
+def ncc_frames(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Normalized autocorrelation along the last axis for lags 0..max_lag.
+
+    r[tau] = sum(x[t] x[t+tau]) / sqrt(sum_head(x^2) * sum_tail(x^2)), the
+    normalization using only the overlapping stretch at each lag (Boersma
+    1993). max_lag is cut so that at least _MIN_OVERLAP samples overlap.
+    Values are clipped into [-1, 1]; lags with negligible overlap energy
+    give 0. Rows of a 2-D block come out bit-identical to 1-D calls.
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
+    max_lag = min(max_lag, n - _MIN_OVERLAP)
+    nfft = 1 << int(n + max_lag).bit_length()
+    spec = rfft(x, nfft)
+    # spec * conj(spec) in that order at every size: numpy's complex multiply
+    # is not bitwise commutative, and an inline `spec * np.conj(spec)` turns
+    # into conj * spec once numpy elides the temporary (256 KiB and up).
+    power = np.conj(spec)
+    np.multiply(spec, power, out=power)
+    ac = irfft(power, nfft)[..., : max_lag + 1]
+    sq = np.cumsum(x * x, axis=-1)
+    lags = np.arange(max_lag + 1)
+    head = sq[..., n - 1 - lags]
+    before = np.concatenate((np.zeros(sq.shape[:-1] + (1,)), sq[..., :max_lag]), axis=-1)
+    denom = np.sqrt(head * (sq[..., -1:] - before))
+    out = np.where(denom > _TINY, ac / np.maximum(denom, _TINY), 0.0)
+    return np.clip(out, -1.0, 1.0)
+
+
+def _parabolic(y0: float, y1: float, y2: float) -> tuple[float, float] | None:
+    """(offset, peak) of the parabola through three equally spaced points.
+
+    offset is the vertex position relative to y1, clipped to +-0.5. None
+    unless y1 is a local maximum and the points are not collinear.
+    """
+    y0, y1, y2 = float(y0), float(y1), float(y2)
+    denom = y0 - 2.0 * y1 + y2
+    if not (abs(denom) > _TINY and y1 >= y0 and y1 >= y2):
+        return None
+    delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+    return delta, y1 - 0.25 * (y0 - y2) * delta
+
+
+def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
+    """Best lag (parabolic-refined) and its strength within [lo, hi]."""
+    hi = min(hi, curve.size - 1)
+    if hi < lo:
+        return 0.0, 0.0
+    seg = curve[lo : hi + 1]
+    best = int(np.argmax(seg)) + lo
+    strength = float(curve[best])
+    if best > lo:
+        inner = np.arange(lo, best)
+        ok = (
+            (curve[inner] >= strength - _OCTAVE_MARGIN)
+            & (curve[inner] >= curve[inner - 1])
+            & (curve[inner] >= curve[inner + 1])
+        )
+        hits = inner[ok]
+        if hits.size:
+            best = int(hits[0])
+            strength = float(curve[best])
+    lag = float(best)
+    if lo < best < hi:
+        vertex = _parabolic(curve[best - 1], curve[best], curve[best + 1])
+        if vertex is not None:
+            lag += vertex[0]
+    return lag, strength
+
+
+def _ppq5(values: np.ndarray) -> float | None:
+    # mean absolute deviation from the centered 5-point running mean
+    if values.size < 5:
+        return None
+    mean = float(np.mean(values))
+    if mean <= 0:
+        return None
+    devs = [
+        abs(values[i] - float(np.mean(values[i - 2 : i + 3])))
+        for i in range(2, values.size - 2)
+    ]
+    return float(np.mean(devs)) / mean

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import mfcc_reference
 from voxtrait.acoustics import (
     HNR_MAX_DB,
@@ -12,6 +15,8 @@ from voxtrait.acoustics import (
     _mel_filterbank,
     _parabolic,
     _hz_to_mel,
+    _pick_peak,
+    _ppq5,
     _mel_to_hz,
     estimate_f0,
     f0_once,
@@ -327,3 +332,61 @@ def test_mel_filterbank_shape_and_coverage():
     assert np.all(fb.sum(axis=1) > 0.0)
     interior = fb[:, 2:-2].sum(axis=0)
     assert np.count_nonzero(interior == 0.0) < 10
+
+
+# The kernels against the copies of their earlier bodies in oracles.py, bit
+# for bit.
+
+
+def _windows(seed: int, rows: int | None, n: int, zeros: str) -> np.ndarray:
+    """Noisy sines at a random scale: one window (rows None) or a block, with
+    no zeros, a zeroed head or tail in some rows, or some rows all zero."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    t = np.arange(n) / RATE
+    f0 = rng.uniform(75.0, 500.0, size=shape[:-1] + (1,))
+    x = np.sin(2.0 * math.pi * f0 * t) + rng.uniform(0.0, 1.0) * rng.standard_normal(shape)
+    x *= 10.0 ** rng.uniform(-5.0, 1.3)
+    hit = rng.random(shape[:-1]) < 0.5
+    cut = int(rng.integers(0, n + 1))
+    if zeros == "head":
+        x[hit, :cut] = 0.0
+    elif zeros == "tail":
+        x[hit, cut:] = 0.0
+    elif zeros == "rows":
+        x[hit] = 0.0
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([None, 1, 7, 64, 65]),
+    n=st.integers(9, 300),
+    max_lag=st.integers(1, 320),
+    zeros=st.sampled_from(["none", "head", "tail", "rows"]),
+)
+def test_ncc_frames_and_pick_peak_equal_the_reference_copy(seed, rows, n, max_lag, zeros):
+    x = _windows(seed, rows, n, zeros)
+    curves = ncc_frames(x, max_lag)
+    assert np.array_equal(curves, oracles.ncc_frames(x, max_lag))
+    for curve in np.atleast_2d(curves):
+        for lo in (2, 3, 23):
+            for hi in (lo + 1, 147, curve.size + 3):
+                assert _pick_peak(curve, lo, hi) == oracles._pick_peak(curve, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(-0.2, 2.0), min_size=1, max_size=40),
+    scale=st.sampled_from([1e-5, 1e-3, 0.0123, 1.0, 20.0]),
+)
+def test_ppq5_equals_the_reference_copy(values, scale):
+    x = np.asarray(values) * scale
+    assert _ppq5(x) == oracles._ppq5(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_parabolic_equals_the_reference_copy(points):
+    assert _parabolic(*points) == oracles._parabolic(*points)

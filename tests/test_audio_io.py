@@ -198,23 +198,40 @@ def test_extensible_rejects_other_subformats_and_truncation(tmp_path):
         load_wav(str(p))
 
 
+def _full_scale_bodies(rng, bits, channels, n_frames):
+    """Bodies of only the lowest, only the highest, and a random mix of both
+    sample values: the largest channel sums the integer mixdown meets."""
+    width = bits // 8
+    lo, hi = (0, 255) if bits == 8 else (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+    codes = [v.to_bytes(width, "little", signed=bits != 8) for v in (lo, hi)]
+    n = n_frames * channels
+    mixed = b"".join(codes[i] for i in rng.integers(0, 2, size=n))
+    return [codes[0] * n, codes[1] * n, mixed]
+
+
+# numpy's pairwise float sum changes regime at 8 elements, so the channel
+# counts reach past it
 @pytest.mark.parametrize("bits", [8, 16, 24, 32])
-@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("channels", [1, 2, 3, 6, 8, 9])
 def test_block_decode_matches_whole_array_decode(tmp_path, bits, channels):
     frame = channels * (bits // 8)
     rng = np.random.default_rng(bits * 10 + channels)
     path = tmp_path / "blocks.wav"
-    for n_frames, tail in (
-        (1, 0),
-        (DECODE_BLOCK_FRAMES - 1, 0),
-        (DECODE_BLOCK_FRAMES, 0),
-        (DECODE_BLOCK_FRAMES + 1, 0),
-        (2 * DECODE_BLOCK_FRAMES + 17, frame - 1),  # trailing partial frame
-    ):
-        body = rng.bytes(n_frames * frame + tail)
+    bodies = [
+        rng.bytes(n_frames * frame + tail)
+        for n_frames, tail in (
+            (1, 0),
+            (DECODE_BLOCK_FRAMES - 1, 0),
+            (DECODE_BLOCK_FRAMES, 0),
+            (DECODE_BLOCK_FRAMES + 1, 0),
+            (2 * DECODE_BLOCK_FRAMES + 17, frame - 1),  # trailing partial frame
+        )
+    ]
+    bodies += _full_scale_bodies(rng, bits, channels, DECODE_BLOCK_FRAMES + 3)
+    for body in bodies:
         path.write_bytes(_riff(_fmt(1, channels, RATE, bits), body))
         got = load_wav(str(path)).samples
-        assert got.size == n_frames
+        assert got.size == len(body) // frame
         assert np.array_equal(got, decode_pcm_reference(body, bits, channels))
 
 

@@ -214,6 +214,25 @@ def test_matrix_tiers_and_directions():
     assert mw.cell("f1", "2->3", "W").direction == "up"
 
 
+def test_wilcoxon_arrow_follows_the_signed_ranks_not_the_mean_shift():
+    # 19 differences of +1 and one of -30: W+ = 190 of 210, so the test says
+    # "up" at p = 0.00037 while the mean shift is -0.55
+    diffs = [1.0] * 19 + [-30.0]
+    table = FeatureTable()
+    for i, d in enumerate(diffs):
+        s1 = {name: 10.0 + 0.1 * i for name in FEATURE_NAMES}
+        s2 = dict(s1, spkrate=s1["spkrate"] + d)
+        table.add(f"sp{i:02d}", "S1", FeatureVector(s1))
+        table.add(f"sp{i:02d}", "S2", FeatureVector(s2))
+        table.add(f"sp{i:02d}", "S3", FeatureVector(s2))
+    res = wilcoxon_signed_rank(np.zeros(20), diffs)
+    assert res.direction == "up" and res.p_value < 0.001
+    matrix = significance_matrix(table, "W")
+    for transition in ("1->2", "1->3"):
+        cell = matrix.cell("spkrate", transition, "W")
+        assert (cell.direction, cell.tier) == ("up", "p01")
+
+
 def test_matrix_rejects_missing_transition_speakers():
     table = FeatureTable()
     vec = FeatureVector({"spkrate": 1.0})
