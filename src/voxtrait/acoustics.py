@@ -151,6 +151,11 @@ def ncc_curve(x: np.ndarray, max_lag: int) -> np.ndarray:
 _OCTAVE_MARGIN = 0.01
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """float(np.clip(x, lo, hi)) for a scalar, without numpy's per-call cost."""
+    return float(min(max(x, lo), hi))
+
+
 def _parabolic(y0: float, y1: float, y2: float) -> tuple[float, float] | None:
     """(offset, peak) of the parabola through three equally spaced points.
 
@@ -224,7 +229,7 @@ def f0_once(
     if strength < voicing_threshold or lag <= 0:
         return None, strength
     f0 = sample_rate / lag
-    return float(np.clip(f0, f0_floor, f0_ceiling)), strength
+    return _clamp(f0, f0_floor, f0_ceiling), strength
 
 
 def subframe_grid(n_samples: int, sample_rate: int) -> tuple[int, int, int]:
@@ -401,7 +406,7 @@ def harmonicity_db(samples: np.ndarray, f0: float, sample_rate: int) -> float | 
     if r >= 1.0:
         return HNR_MAX_DB
     hnr = 10.0 * math.log10(r / (1.0 - r))
-    return float(np.clip(hnr, HNR_MIN_DB, HNR_MAX_DB))
+    return _clamp(hnr, HNR_MIN_DB, HNR_MAX_DB)
 
 
 def preemphasize(samples: np.ndarray, coeff: float = PREEMPHASIS) -> np.ndarray:

@@ -48,6 +48,10 @@ DV_NAMES: tuple[str, ...] = (
 )
 
 _COLLINEAR_TOL = 1e-10
+# Bytes one loocv_stability block may take: its folds' training rows,
+# standardized in place, and their Gram matrices. Working memory stays
+# near this whatever the number of speakers.
+LOOCV_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,12 @@ class Standardization:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
+
+
+def _rescaled_std(column: np.ndarray) -> float:
+    """Sample std of a column measured after scaling by its largest magnitude."""
+    m = np.abs(column).max()
+    return m * (column / m).std(ddof=1)
 
 
 def zscore_fit(X: np.ndarray, names: Sequence[str]) -> Standardization:
@@ -78,8 +88,7 @@ def zscore_fit(X: np.ndarray, names: Sequence[str]) -> Standardization:
     # varying column's std comes out 0; those columns, and only those, are
     # measured again after scaling by their largest magnitude.
     for j in np.flatnonzero(varies & (std == 0.0)):
-        m = np.abs(X[:, j]).max()
-        std[j] = m * (X[:, j] / m).std(ddof=1)
+        std[j] = _rescaled_std(X[:, j])
     ok = varies & (std > 0.0) & np.isfinite(std)
     if not ok.all():
         name = names[int(np.argmin(ok))]
@@ -147,81 +156,174 @@ def decide_stable(
     return (r_loocv / r_overall) > min_r_ratio
 
 
+def _take(a: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """C-contiguous a[:, rows] (or a[:, rows][:, :, cols]) of a fold stack.
+
+    Fancy indexing after a slice lays the fold axis innermost; BLAS then
+    sums each fold's products in another order than on a contiguous block.
+    """
+    out = a.take(rows, axis=1)
+    return out if cols is None else out.take(cols, axis=2)
+
+
 def _forward_scan(
     G: np.ndarray,
     gy: np.ndarray,
-    syy: float,
+    syy: np.ndarray,
     n: int,
     selected: list[int],
     candidates: np.ndarray,
-) -> tuple[int, float] | None:
-    """Best candidate index and its partial-F p-value, or None."""
+) -> list[tuple[int, float] | None]:
+    """Each fold's best candidate index and its partial-F p-value, or None.
+
+    G (folds, p, p), gy (folds, p) and syy (folds,) stack folds that share
+    `selected`, so they all scan the same candidates.
+    """
+    folds = G.shape[0]
     k = len(selected)
     df2 = n - (k + 1) - 1
     if df2 < 1 or candidates.size == 0:
-        return None
+        return [None] * folds
     # rss at rounding level means the fit is already exact; without this
     # guard fp-negative residuals turn every candidate into a fake
     # perfect-fit entry
-    rss_floor = 1e-12 * max(syy, 1.0)
+    rss_floor = 1e-12 * np.maximum(syy, 1.0)
+    live = np.ones(folds, dtype=bool)
+    Gcc = G[:, candidates, candidates]
     if k:
         sel = np.asarray(selected)
-        # a C-contiguous block: on the F-ordered G[sel][:, candidates],
-        # `Gsc.T @ beta_s` sums in another order and moves the entry p-values
-        Gsc = G[sel[:, None], candidates]
-        rhs = np.concatenate((Gsc, gy[sel][:, None]), axis=1)
+        gys = _take(gy, sel)
+        Gsc = _take(G, sel, candidates)
+        rhs = np.concatenate((Gsc, gys[..., None]), axis=2)
+        Gss = _take(G, sel, sel)
         try:
-            sol = np.linalg.solve(G[sel[:, None], sel], rhs)
+            sol = np.linalg.solve(Gss, rhs)
         except np.linalg.LinAlgError:
-            return None
-        beta_s = sol[:, -1]
-        rss = syy - float(gy[sel] @ beta_s)
-        if rss <= rss_floor:
-            return None
-        d = G[candidates, candidates] - np.einsum("ij,ij->j", Gsc, sol[:, :-1])
-        num = gy[candidates] - Gsc.T @ beta_s
+            # one singular fold fails the whole stacked call; only that
+            # fold goes without an entrant
+            sol = np.empty(rhs.shape)
+            for f in range(folds):
+                try:
+                    sol[f] = np.linalg.solve(Gss[f], rhs[f])
+                except np.linalg.LinAlgError:
+                    live[f] = False
+        beta_s = sol[..., -1]
+        # per-fold 1-D dots: a stacked reduction sums in another order
+        rss = np.array([s - float(g @ b) for s, g, b in zip(syy, gys, beta_s)])
+        d = Gcc - np.einsum("fij,fij->fj", Gsc, sol[..., :-1])
+        num = _take(gy, candidates) - np.matmul(Gsc.transpose(0, 2, 1), beta_s[..., None])[..., 0]
     else:
         rss = syy
-        if rss <= rss_floor:
-            return None
-        d = G[candidates, candidates].copy()
-        num = gy[candidates].copy()
+        d = Gcc
+        num = _take(gy, candidates)
 
-    ok = d > _COLLINEAR_TOL * np.maximum(G[candidates, candidates], 1.0)
-    if not ok.any():
-        return None
-    delta = np.full(candidates.size, -np.inf)
+    ok = d > _COLLINEAR_TOL * np.maximum(Gcc, 1.0)
+    delta = np.full(d.shape, -np.inf)
     delta[ok] = num[ok] ** 2 / d[ok]
-    resid = rss - delta
     with np.errstate(invalid="ignore", divide="ignore"):
+        resid = rss[:, None] - delta
         F = np.where(resid > 0, delta * df2 / np.maximum(resid, 1e-300), np.inf)
     F[~ok] = -np.inf
-    p = np.full(candidates.size, np.inf)
+    p = np.full(d.shape, np.inf)
     finite = np.isfinite(F) & ok
     p[finite] = fdtrc(1, df2, F[finite])  # f.sf(F, 1, df2)
     p[ok & ~finite] = 0.0  # perfect fit
-    best = int(np.argmin(p))
-    if not np.isfinite(p[best]):
-        return None
-    return int(candidates[best]), float(p[best])
+    best = np.argmin(p, axis=1)
+    p_best = p[np.arange(folds), best]
+    live &= ~(rss <= rss_floor)
+    return [
+        (int(candidates[j]), float(pb)) if ok_f and np.isfinite(pb) else None
+        for j, pb, ok_f in zip(best, p_best, live)
+    ]
 
 
 def _ols_stats(
-    G: np.ndarray, gy: np.ndarray, syy: float, n: int, selected: list[int]
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """(betas, rss, two-sided p per included predictor)."""
+    G: np.ndarray, gy: np.ndarray, syy: np.ndarray, n: int, selected: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(betas, rss, two-sided p per included predictor), one row per fold."""
     sel = np.asarray(selected)
-    Ginv = np.linalg.inv(G[sel[:, None], sel])
-    beta = Ginv @ gy[sel]
-    rss = max(syy - float(gy[sel] @ beta), 0.0)
+    Ginv = np.linalg.inv(_take(G, sel, sel))
+    gys = _take(gy, sel)
+    beta = np.matmul(Ginv, gys[..., None])[..., 0]
+    rss = np.array([max(s - float(g @ b), 0.0) for s, g, b in zip(syy, gys, beta)])
     df = n - len(selected) - 1
     if df < 1:
-        return beta, rss, np.zeros(len(selected))
+        return beta, rss, np.zeros(beta.shape)
     sigma2 = rss / df
-    se = np.sqrt(np.maximum(sigma2 * np.diag(Ginv), 1e-300))
+    se = np.sqrt(np.maximum(sigma2[:, None] * np.diagonal(Ginv, axis1=1, axis2=2), 1e-300))
     tvals = beta / se
     pvals = 2.0 * stdtr(df, -np.abs(tvals))  # 2 t.sf(|t|, df)
     return beta, rss, pvals
+
+
+def _by_selection(selected: list[list[int]], folds: list[int]):
+    """(selected list, fold indices) for each distinct selection among folds."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for f in folds:
+        groups.setdefault(tuple(selected[f]), []).append(f)
+    return [(list(key), np.asarray(idx)) for key, idx in groups.items()]
+
+
+def _stepwise(
+    G: np.ndarray,
+    gy: np.ndarray,
+    syy: np.ndarray,
+    n: int,
+    entry_p: float,
+    removal_p: float,
+) -> list[tuple[list[int], np.ndarray, float]]:
+    """(selected, betas, rss) of the stepwise search on each fold of G.
+
+    Folds with the same current selection take each scan and removal step
+    together, as one stacked call.
+    """
+    folds, p = G.shape[:2]
+    selected: list[list[int]] = [[] for _ in range(folds)]
+    seen: list[set[tuple[int, ...]]] = [set() for _ in range(folds)]
+    fit: dict[int, tuple[np.ndarray, float]] = {}
+    active = list(range(folds))
+
+    def stack(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (G, gy, syy) if idx.size == folds else (G[idx], gy[idx], syy[idx])
+
+    for _ in range(4 * p + 4):
+        if not active:
+            break
+        changed = dict.fromkeys(active, False)
+        for sel, idx in _by_selection(selected, active):
+            candidates = np.asarray([j for j in range(p) if j not in sel], dtype=np.int64)
+            hits = _forward_scan(*stack(idx), n, sel, candidates)
+            for f, hit in zip(idx, hits):
+                if hit is not None and hit[1] * candidates.size < entry_p:
+                    selected[f].append(hit[0])
+                    changed[f] = True
+        removing = [f for f in active if selected[f]]
+        while removing:
+            again = []
+            for sel, idx in _by_selection(selected, removing):
+                beta, rss, pvals = _ols_stats(*stack(idx), n, sel)
+                worst = np.argmax(pvals, axis=1)
+                for row, (f, w) in enumerate(zip(idx, worst)):
+                    if pvals[row, w] > removal_p:
+                        del selected[f][w]
+                        changed[f] = True
+                        if selected[f]:
+                            again.append(f)
+                    else:
+                        # the last removal check is the final fit of `selected`
+                        fit[f] = (beta[row], float(rss[row]))
+            removing = again
+        still = []
+        for f in active:
+            key = tuple(sorted(selected[f]))
+            if changed[f] and key not in seen[f]:
+                seen[f].add(key)
+                still.append(f)
+        active = still
+    return [
+        (sel, *fit[f]) if sel else (sel, np.empty(0), float(syy[f]))
+        for f, sel in enumerate(selected)
+    ]
 
 
 def stepwise_fit(
@@ -253,35 +355,11 @@ def stepwise_fit(
     G = Z.T @ Z
     gy = Z.T @ zy
     syy = float(zy @ zy)
-
-    selected: list[int] = []
-    seen: set[tuple[int, ...]] = set()
-    for _ in range(4 * p + 4):
-        changed = False
-        in_set = set(selected)
-        candidates = np.asarray([j for j in range(p) if j not in in_set], dtype=np.int64)
-        hit = _forward_scan(G, gy, syy, n, selected, candidates)
-        if hit is not None:
-            j, pval = hit
-            if pval * candidates.size < entry_p:
-                selected.append(j)
-                changed = True
-        while len(selected) > 0:
-            _, _, pvals = _ols_stats(G, gy, syy, n, selected)
-            worst = int(np.argmax(pvals))
-            if pvals[worst] > removal_p:
-                del selected[worst]
-                changed = True
-            else:
-                break
-        key = tuple(sorted(selected))
-        if not changed or key in seen:
-            break
-        seen.add(key)
-
+    ((selected, beta, rss),) = _stepwise(
+        G[None], gy[None], np.array([syy]), n, entry_p, removal_p
+    )
     if not selected:
         return RegressionModel(predictors=(), betas=(), train_r=0.0)
-    beta, rss, _ = _ols_stats(G, gy, syy, n, selected)
     train_r = math.sqrt(max(1.0 - rss / syy, 0.0)) if syy > 0 else 0.0
     return RegressionModel(
         predictors=tuple(names[j] for j in selected),
@@ -331,6 +409,84 @@ def _fit_standardized(
     return model, stz, y_mean, y_std
 
 
+def _gram(ZT: np.ndarray, zy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, gy, syy) of each fold of the standardized (folds, p, n) stack ZT.
+
+    Per fold these are Z.T @ Z, Z.T @ zy and zy @ zy of its (n, p) Z, by
+    the same BLAS calls; syy stays a 1-D dot per fold, since a stacked
+    reduction sums in another order.
+    """
+    G = np.matmul(ZT, ZT.transpose(0, 2, 1))
+    gy = np.matmul(ZT, zy[..., None])[..., 0]
+    return G, gy, np.array([float(v @ v) for v in zy])
+
+
+def _refit_block(
+    X: np.ndarray,
+    y: np.ndarray,
+    folds: range,
+    names: Sequence[str],
+    entry_p: float,
+    removal_p: float,
+) -> list[tuple[int, tuple[str, ...], float]]:
+    """(left-out row, predictors, its predicted rating) of each refit fold.
+
+    Stacks the folds' training rows as one (folds, p, n - 1) array, each
+    column's values contiguous like those of the F-ordered X[mask][:, keep]
+    a single fold standardizes, and reduces over the last axis: every mean,
+    std and Gram entry then sums in a single fold's order, and each fold's
+    model is bit-identical to the one refitting that fold alone gives.
+    """
+    n, p = X.shape
+    Xs = np.empty((len(folds), p, n - 1))
+    ys = np.empty((len(folds), n - 1))
+    for b, i in enumerate(folds):
+        Xs[b, :, :i] = X[:i].T
+        Xs[b, :, i:] = X[i + 1 :].T
+        ys[b, :i] = y[:i]
+        ys[b, i:] = y[i + 1 :]
+    y_mean = ys.mean(axis=1)
+    y_std = ys.std(axis=1, ddof=1)
+    # zscore_fit, per fold: its exact constant test, its re-measure of
+    # underflowing stds and its rejection of a column that still reads 0
+    varies = Xs.max(axis=2) > Xs.min(axis=2)
+    refit = (y_std != 0.0) & varies.any(axis=1)
+    mean = Xs.mean(axis=2)
+    std = np.array([x.std(axis=1, ddof=1) for x in Xs])  # a fold's temporary at a time
+    for b, j in zip(*np.nonzero(refit[:, None] & varies & (std == 0.0))):
+        std[b, j] = _rescaled_std(Xs[b, j])
+    bad = np.argwhere(refit[:, None] & varies & ~((std > 0.0) & np.isfinite(std)))
+    if bad.size:
+        raise ConstantColumnError(f"column {names[bad[0, 1]]!r} has zero variance")
+    if n - 1 < 4:
+        return []  # stepwise_fit's InsufficientDataError: no fold refits
+    # the columns a fold drops (constant within it) divide by 0 here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Xs -= mean[..., None]
+        Xs /= std[..., None]
+        zy = (ys - y_mean[:, None]) / y_std[:, None]
+
+    by_keep: dict[bytes, list[int]] = {}
+    for b in np.flatnonzero(refit):
+        by_keep.setdefault(varies[b].tobytes(), []).append(int(b))
+    grams = []
+    for idx in by_keep.values():
+        keep = np.flatnonzero(varies[idx[0]])
+        whole = len(idx) == len(folds) and keep.size == p
+        grams.append((idx, keep, *_gram(Xs if whole else Xs[np.ix_(idx, keep)], zy[idx])))
+    del Xs  # the search needs only the Grams
+    out = []
+    for idx, keep, G, gy, syy in grams:
+        fits = _stepwise(G, gy, syy, n - 1, entry_p, removal_p)
+        for b, (sel, beta, _) in zip(idx, fits):
+            i = folds[b]
+            z_row = (X[i, keep] - mean[b, keep]) / std[b, keep]
+            score = float(np.dot(z_row[sel], beta)) if sel else 0.0
+            predictors = tuple(names[keep[j]] for j in sel)
+            out.append((i, predictors, float(y_mean[b]) + float(y_std[b]) * score))
+    return out
+
+
 def loocv_stability(
     X: np.ndarray,
     y: np.ndarray,
@@ -347,32 +503,25 @@ def loocv_stability(
     predicts the held-out rating. A fold counts as identical when its
     selected predictor-name set matches the overall model's. Degenerate
     folds (constant rating) count as non-identical and yield no prediction.
+    Folds are refit LOOCV_BLOCK_BYTES of training rows at a time, stacked,
+    with the same result as refitting each on its own.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.size
     if X.shape[0] != n or n < 3:
         raise InsufficientDataError("LOOCV needs >= 3 rows")
+    p = X.shape[1]
     overall_set = frozenset(overall.predictors)
-    column = {name: j for j, name in enumerate(names)}
     identical = 0
     preds = np.full(n, np.nan)
-    for i in range(n):
-        mask = np.ones(n, dtype=bool)
-        mask[i] = False
-        try:
-            fitted = _fit_standardized(X[mask], y[mask], names, entry_p, removal_p)
-        except InsufficientDataError:
-            fitted = None  # fold too small to refit; treat like a constant fold
-        if fitted is None:
-            continue
-        model_i, stz, y_mean, y_std = fitted
-        if frozenset(model_i.predictors) == overall_set:
-            identical += 1
-        cols = [stz.names.index(name) for name in model_i.predictors]
-        z_row = (X[i][[column[nm] for nm in stz.names]] - stz.mean) / stz.std
-        score = float(np.dot(z_row[cols], model_i.betas)) if cols else 0.0
-        preds[i] = y_mean + y_std * score
+    per_block = max(1, LOOCV_BLOCK_BYTES // (8 * max(p, 1) * (n - 1 + p)))
+    for start in range(0, n, per_block):
+        folds = range(start, min(start + per_block, n))
+        for i, predictors, pred in _refit_block(X, y, folds, names, entry_p, removal_p):
+            if frozenset(predictors) == overall_set:
+                identical += 1
+            preds[i] = pred
     valid = ~np.isnan(preds)
     r_loocv = _pearson(preds[valid], y[valid]) if valid.sum() >= 2 else 0.0
     fraction = identical / n

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import mfcc_reference
 from voxtrait.acoustics import (
+    F0_CEILING_HZ,
+    F0_FLOOR_HZ,
     HNR_MAX_DB,
     HNR_MIN_DB,
+    _clamp,
     _mel_filterbank,
     _parabolic,
     _hz_to_mel,
@@ -45,6 +48,19 @@ def test_parabolic_vertex():
     assert _parabolic(1 - 0.75**2, 1 - 0.25**2, 1 - 1.25**2) == pytest.approx((-0.25, 1.0))
     assert _parabolic(0.0, 1.0, 1.5) is None  # y1 is not a local maximum
     assert _parabolic(1.0, 1.0, 1.0) is None  # flat: no curvature
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    bounds=st.sampled_from([(F0_FLOOR_HZ, F0_CEILING_HZ), (HNR_MIN_DB, HNR_MAX_DB), (75, 500)]),
+)
+def test_clamp_equals_np_clip(x, bounds):
+    # f0_once and harmonicity_db clamp with it; np.clip gave the same floats
+    lo, hi = bounds
+    for value in (x, lo, hi):
+        got = _clamp(value, lo, hi)
+        assert got == float(np.clip(value, lo, hi)) and type(got) is float
 
 
 def _sine(freq: float, duration_s: float, rate: int = RATE, amp: float = 1.0):

@@ -4,7 +4,9 @@
 timing wrapper, so a refactor that removes or renames one breaks the traced
 run. One test calls `install_wrappers` with a tracer that only looks each
 name up. Another runs one pass of the `corpus` and `table` workloads with
-their per-operation correctness checks, which a benchmark run also applies.
+their per-operation correctness checks, which a benchmark run also applies,
+and a third checks that two `table` passes in one process give the same
+digests, as a benchmark run checks across its passes.
 """
 
 import importlib.util
@@ -58,4 +60,15 @@ def test_corpus_and_table_passes_pass_their_checks(tmp_path):
     for workload in (workloads.Corpus, workloads.Table):
         workload(str(tmp_path), 7).run_pass(rec)
     assert {op.kind for op in rec.ops} >= {"recording", "csv", "matrix", "model", "scores"}
+    assert [(op.op_id, op.errors) for op in rec.ops if not op.ok] == []
+
+
+def test_table_passes_give_equal_digests(tmp_path):
+    # a benchmark run flags a pass whose digests differ from the first one's
+    workloads = _bench_module("workloads")
+    tracing = _bench_module("tracing")
+    table = workloads.Table(str(tmp_path), 7)
+    rec = tracing.Recorder()
+    first, second = (table.digests(table.run_pass(rec)) for _ in range(2))
+    assert first == second
     assert [(op.op_id, op.errors) for op in rec.ops if not op.ok] == []

@@ -1,11 +1,14 @@
 """Stepwise selection, stability gating, training and evaluation plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import fdtrc, stdtr
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
+from voxtrait import regression
 from voxtrait.errors import (
     ConstantColumnError,
     DuplicateKeyError,
@@ -332,22 +335,157 @@ def test_fit_and_loocv_equal_the_reference_copy():
 
 
 def test_scan_and_ols_stats_equal_the_reference_copy():
-    """Bit-equal entry p-values and OLS statistics on random selections."""
+    """Bit-equal entry p-values and OLS statistics on random selections.
+
+    Every row of a stack of 1, 7 or 16 folds equals the single-fold call.
+    """
     rng = np.random.default_rng(2)
     n, p = 120, 30
-    for _ in range(300):
-        Z = rng.standard_normal((n, p))
-        zy = Z[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
-        G, gy, syy = Z.T @ Z, Z.T @ zy, float(zy @ zy)
+    for trial in range(300):
+        folds = (1, 7, 16)[trial % 3]
+        single = []
+        for _ in range(folds):
+            Z = rng.standard_normal((n, p))
+            zy = Z[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
+            single.append((Z.T @ Z, Z.T @ zy, float(zy @ zy)))
+        G, gy, syy = (np.stack([s[m] for s in single]) for m in range(3))
         selected = [int(j) for j in rng.choice(p, int(rng.integers(0, 8)), replace=False)]
         candidates = np.setdiff1d(np.arange(p), selected)
-        args = (G, gy, syy, n, selected)
-        assert _forward_scan(*args, candidates) == oracles._forward_scan(*args, candidates)
+        hits = _forward_scan(G, gy, syy, n, selected, candidates)
+        assert hits == [oracles._forward_scan(*s, n, selected, candidates) for s in single]
         if selected:
-            beta, rss, pvals = _ols_stats(*args)
-            want = oracles._ols_stats(*args)
-            assert np.array_equal(beta, want[0]) and rss == want[1]
-            assert np.array_equal(pvals, want[2])
+            beta, rss, pvals = _ols_stats(G, gy, syy, n, selected)
+            for f, s in enumerate(single):
+                want = oracles._ols_stats(*s, n, selected)
+                assert np.array_equal(beta[f], want[0]) and rss[f] == want[1]
+                assert np.array_equal(pvals[f], want[2])
+
+
+def test_stacked_scan_gives_no_entrant_only_to_a_singular_fold():
+    rng = np.random.default_rng(4)
+    n, p = 60, 8
+    single = []
+    for f in range(7):
+        Z = rng.standard_normal((n, p))
+        zy = Z[:, :2] @ np.array([1.0, -0.5]) + rng.standard_normal(n)
+        G = Z.T @ Z
+        if f == 3:
+            G[1, :] = G[:, 1] = 0.0  # selected column 1 has no variance
+        single.append((G, Z.T @ zy, float(zy @ zy)))
+    G, gy, syy = (np.stack([s[m] for s in single]) for m in range(3))
+    selected, candidates = [0, 1], np.arange(2, p)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(G[:, :2, :2], gy[:, :2, None])  # one fold fails the stacked call
+    hits = _forward_scan(G, gy, syy, n, selected, candidates)
+    assert hits == [oracles._forward_scan(*s, n, selected, candidates) for s in single]
+    assert [hit is None for hit in hits] == [f == 3 for f in range(7)]
+
+
+# LOOCV edge cases, each run with blocks of 1 and 7 folds and at the
+# default block size, against the reference copy's fold-by-fold loop.
+FOLDS_PER_BLOCK = pytest.mark.parametrize("folds_per_block", [1, 7, None])
+
+
+def _set_folds_per_block(monkeypatch, X, folds_per_block):
+    if folds_per_block is not None:
+        n, p = X.shape
+        nbytes = 8 * p * (n - 1 + p) * folds_per_block
+        monkeypatch.setattr(regression, "LOOCV_BLOCK_BYTES", nbytes)
+
+
+def _edge_design(n=40, p=6, seed=24):
+    rng = np.random.default_rng(seed)
+    X = 5.0 + rng.standard_normal((n, p)) * np.linspace(0.5, 4.0, p)
+    signal = (X[:, 0] - 5.0) / 0.5 + 0.3 * (X[:, 1] - 5.0) / 1.2
+    y = np.clip(np.round(4.0 + 1.5 * signal + 0.8 * rng.standard_normal(n)), 1, 7)
+    return X, y, [f"x{j + 1}" for j in range(p)]
+
+
+@FOLDS_PER_BLOCK
+def test_loocv_folds_that_keep_different_columns(monkeypatch, folds_per_block):
+    X, y, names = _edge_design()
+    X[:, 2] = 2.0
+    X[7, 2] = 3.0  # constant in fold 7 only
+    X[:, 4] = -1.0
+    X[30, 4] = 0.0  # constant in fold 30 only
+    # constant in every fold: a fold that kept these would enter a predictor
+    # only at a 24-candidate Bonferroni bound, not a 5- or 6-candidate one
+    X = np.column_stack([X, np.ones((40, 18))])
+    names += [f"c{j + 1}" for j in range(18)]
+    overall = _fit_standardized(X, y, names, 0.05, 0.10)[0]
+    _set_folds_per_block(monkeypatch, X, folds_per_block)
+    got = loocv_stability(X, y, names, overall)
+    assert got == oracles.loocv_stability(X, y, names, overall)
+    assert got.fraction_identical > 0.5
+
+
+@FOLDS_PER_BLOCK
+def test_loocv_skips_a_fold_with_constant_ratings(monkeypatch, folds_per_block):
+    X, y, names = _edge_design()
+    y[:] = 4.0
+    y[11] = 7.0  # fold 11 has only 4s left
+    overall = _fit_standardized(X, y, names, 0.05, 0.10)[0]
+    _set_folds_per_block(monkeypatch, X, folds_per_block)
+    assert loocv_stability(X, y, names, overall) == oracles.loocv_stability(
+        X, y, names, overall
+    )
+
+
+@FOLDS_PER_BLOCK
+def test_loocv_standardizes_a_tiny_scale_column_again(monkeypatch, folds_per_block):
+    X, y, names = _edge_design()
+    X[:, 0] = 1e-170 * (X[:, 0] - 5.0)
+    assert np.std(X[:, 0], ddof=1) == 0.0
+    overall = _fit_standardized(X, y, names, 0.05, 0.10)[0]
+    assert "x1" in overall.predictors
+    # The reference copy predates zscore_fit's re-measure of such columns and
+    # drops them; run its fold loop on the package's single-fold fit instead.
+    monkeypatch.setattr(oracles, "_fit_standardized", _fit_standardized)
+    _set_folds_per_block(monkeypatch, X, folds_per_block)
+    got = loocv_stability(X, y, names, overall)
+    assert got == oracles.loocv_stability(X, y, names, overall)
+    assert got.fraction_identical > 0.5
+
+
+@FOLDS_PER_BLOCK
+def test_loocv_of_four_rows_refits_no_fold(monkeypatch, folds_per_block):
+    X, y, names = _edge_design(n=4)
+    y = np.array([2.0, 5.0, 3.0, 6.0])
+    overall = RegressionModel(predictors=(), betas=(), train_r=0.0)
+    _set_folds_per_block(monkeypatch, X, folds_per_block)
+    got = loocv_stability(X, y, names, overall)
+    assert got == oracles.loocv_stability(X, y, names, overall)
+    assert (got.n_folds, got.fraction_identical, got.r_loocv) == (4, 0.0, 0.0)
+
+
+@FOLDS_PER_BLOCK
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_loocv_raises_a_fold_constant_column_error(monkeypatch, folds_per_block):
+    X, y, names = _edge_design()
+    X[0, 3] = 1e160  # its squared deviation overflows in every fold but fold 0
+    overall = RegressionModel(predictors=("x1",), betas=(0.8,), train_r=0.8)
+    _set_folds_per_block(monkeypatch, X, folds_per_block)
+    with pytest.raises(ConstantColumnError) as want:
+        oracles.loocv_stability(X, y, names, overall)
+    with pytest.raises(ConstantColumnError) as got:
+        loocv_stability(X, y, names, overall)
+    assert str(got.value) == str(want.value) == "column 'x4' has zero variance"
+
+
+@pytest.mark.parametrize("n_speakers", [150, 600])
+def test_loocv_working_memory_stays_within_its_block(n_speakers):
+    rng = np.random.default_rng(n_speakers)
+    X = rng.standard_normal((n_speakers, 30))
+    y = np.clip(np.round(4.0 + 1.5 * X[:, 0] + 0.8 * rng.standard_normal(n_speakers)), 1, 7)
+    overall = _fit_standardized(X, y, NAMES30, 0.05, 0.10)[0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loocv_stability(X, y, NAMES30, overall)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < regression.LOOCV_BLOCK_BYTES * 1.25
 
 
 def test_direct_p_values_equal_scipy_stats():
