@@ -6,7 +6,8 @@ run. One test calls `install_wrappers` with a tracer that only looks each
 name up. Another runs one pass of the `corpus` and `table` workloads with
 their per-operation correctness checks, which a benchmark run also applies,
 and a third checks that two `table` passes in one process give the same
-digests, as a benchmark run checks across its passes.
+digests, as a benchmark run checks across its passes, and pins the seed-7
+digests themselves.
 """
 
 import importlib.util
@@ -72,3 +73,8 @@ def test_table_passes_give_equal_digests(tmp_path):
     first, second = (table.digests(table.run_pass(rec)) for _ in range(2))
     assert first == second
     assert [(op.op_id, op.errors) for op in rec.ops if not op.ok] == []
+    # the seed-7 model JSON and arrow matrix, byte for byte
+    assert first == {
+        "merged_arrows_csv": "f818ebbe6daa992ca5c414654b6956eee44a5c215f6861d0e6ee23a85cd0d801",
+        "models_json": "4e62783f325f18a98415b52d4dd908961a4696457c9732bc8ed7bbfba77167bf",
+    }
