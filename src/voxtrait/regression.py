@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +70,31 @@ def _rescaled_std(column: np.ndarray) -> float:
     return m * (column / m).std(ddof=1)
 
 
+def _column_stats(
+    Xs: np.ndarray, names: Sequence[str], live: np.ndarray, drop_constant: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(varies, mean, std) per column of each fold of the (folds, p, m) stack Xs.
+
+    In the `live` folds a column whose std is 0 or not finite raises
+    ConstantColumnError; with drop_constant, a constant column does not.
+    """
+    # max > min is the exact constant test: the std of a constant column
+    # can round to a tiny nonzero value (19 copies of 0.1 give 1.4e-17)
+    varies = Xs.max(axis=2) > Xs.min(axis=2)
+    mean = Xs.mean(axis=2)
+    std = np.array([x.std(axis=1, ddof=1) for x in Xs])  # a fold's temporary at a time
+    # At tiny scales (about 1e-170) the squared deviations underflow and a
+    # varying column's std comes out 0; those columns, and only those, are
+    # measured again after scaling by their largest magnitude.
+    for b, j in zip(*np.nonzero(live[:, None] & varies & (std == 0.0))):
+        std[b, j] = _rescaled_std(Xs[b, j])
+    checked = live[:, None] & varies if drop_constant else live[:, None]
+    bad = np.argwhere(checked & ~(varies & (std > 0.0) & np.isfinite(std)))
+    if bad.size:
+        raise ConstantColumnError(f"column {names[bad[0, 1]]!r} has zero variance")
+    return varies, mean, std
+
+
 def zscore_fit(X: np.ndarray, names: Sequence[str]) -> Standardization:
     """Column means and sample standard deviations; rejects constants."""
     X = np.asarray(X, dtype=np.float64)
@@ -79,21 +104,11 @@ def zscore_fit(X: np.ndarray, names: Sequence[str]) -> Standardization:
         raise InsufficientDataError("standardization needs >= 2 rows")
     if X.shape[1] != len(names):
         raise InputError("names must match the number of columns")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0, ddof=1)
-    # max == min is the exact constant test: the std of a constant column
-    # can round to a tiny nonzero value (19 copies of 0.1 give 1.4e-17)
-    varies = X.max(axis=0) > X.min(axis=0)
-    # At tiny scales (about 1e-170) the squared deviations underflow and a
-    # varying column's std comes out 0; those columns, and only those, are
-    # measured again after scaling by their largest magnitude.
-    for j in np.flatnonzero(varies & (std == 0.0)):
-        std[j] = _rescaled_std(X[:, j])
-    ok = varies & (std > 0.0) & np.isfinite(std)
-    if not ok.all():
-        name = names[int(np.argmin(ok))]
-        raise ConstantColumnError(f"column {name!r} has zero variance")
-    return Standardization(tuple(names), mean, std)
+    if not np.isfinite(X).all():
+        raise InputError("X must be finite")
+    # a view: each column reduces in X's own memory order
+    _, mean, std = _column_stats(X.T[None], names, np.ones(1, dtype=bool), False)
+    return Standardization(tuple(names), mean[0], std[0])
 
 
 @dataclass(frozen=True)
@@ -272,7 +287,7 @@ def _stepwise(
     entry_p: float,
     removal_p: float,
 ) -> list[tuple[list[int], np.ndarray, float]]:
-    """(selected, betas, rss) of the stepwise search on each fold of G.
+    """(selected, betas, r) of the stepwise search on each fold of G.
 
     Folds with the same current selection take each scan and removal step
     together, as one stacked call.
@@ -320,8 +335,11 @@ def _stepwise(
                 seen[f].add(key)
                 still.append(f)
         active = still
+    # syy > 0 once a predictor entered: the rss floor stops an entry at syy = 0
     return [
-        (sel, *fit[f]) if sel else (sel, np.empty(0), float(syy[f]))
+        (sel, fit[f][0], math.sqrt(max(1.0 - fit[f][1] / syy[f], 0.0)))
+        if sel
+        else (sel, np.empty(0), 0.0)
         for f, sel in enumerate(selected)
     ]
 
@@ -351,21 +369,14 @@ def stepwise_fit(
         raise InputError("names must match the number of columns")
     if n < 4:
         raise InsufficientDataError(f"stepwise fit needs >= 4 rows, got {n}")
+    if not (np.isfinite(Z).all() and np.isfinite(zy).all()):
+        raise InputError("Z and zy must be finite")
+    ((selected, beta, r),) = _stepwise(*_gram(Z.T[None], zy[None]), n, entry_p, removal_p)
+    return _model(selected, beta, r, names)
 
-    G = Z.T @ Z
-    gy = Z.T @ zy
-    syy = float(zy @ zy)
-    ((selected, beta, rss),) = _stepwise(
-        G[None], gy[None], np.array([syy]), n, entry_p, removal_p
-    )
-    if not selected:
-        return RegressionModel(predictors=(), betas=(), train_r=0.0)
-    train_r = math.sqrt(max(1.0 - rss / syy, 0.0)) if syy > 0 else 0.0
-    return RegressionModel(
-        predictors=tuple(names[j] for j in selected),
-        betas=tuple(float(b) for b in beta),
-        train_r=float(train_r),
-    )
+
+def _model(selected: list[int], beta: np.ndarray, r: float, names: Sequence[str]):
+    return RegressionModel(tuple(names[j] for j in selected), tuple(map(float, beta)), r)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -390,23 +401,13 @@ def _fit_standardized(
     removal_p: float,
 ) -> tuple[RegressionModel, Standardization, float, float] | None:
     """Standardize and fit; None when y or every column is constant."""
-    y = np.asarray(y, dtype=np.float64)
-    y_mean = float(y.mean())
-    y_std = float(y.std(ddof=1))
-    if y_std == 0.0:
+    Xs = np.asarray(X, dtype=np.float64).T.copy()[None]  # standardized in place
+    (fit,) = _fit_stack(Xs, np.asarray(y, dtype=np.float64)[None], names, entry_p, removal_p)
+    if fit is None:
         return None
-    # zscore_fit's exact constant test. Index with `keep` even when it holds
-    # every column: X[:, keep] is a copy laid out differently from X, and
-    # the column means and stds sum in a layout-dependent order.
-    keep = np.flatnonzero(X.max(axis=0) > X.min(axis=0))
-    if not keep.size:
-        return None
-    Xk = X[:, keep]
-    stz = zscore_fit(Xk, [names[j] for j in keep])
-    Z = stz.apply(Xk)
-    zy = (y - y_mean) / y_std
-    model = stepwise_fit(Z, zy, stz.names, entry_p=entry_p, removal_p=removal_p)
-    return model, stz, y_mean, y_std
+    keep, mean, std, y_mean, y_std, selected, beta, r = fit
+    kept = [names[j] for j in keep]
+    return _model(selected, beta, r, kept), Standardization(tuple(kept), mean, std), y_mean, y_std
 
 
 def _gram(ZT: np.ndarray, zy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -421,45 +422,27 @@ def _gram(ZT: np.ndarray, zy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return G, gy, np.array([float(v @ v) for v in zy])
 
 
-def _refit_block(
-    X: np.ndarray,
-    y: np.ndarray,
-    folds: range,
+def _fit_stack(
+    Xs: np.ndarray,
+    ys: np.ndarray,
     names: Sequence[str],
     entry_p: float,
     removal_p: float,
-) -> list[tuple[int, tuple[str, ...], float]]:
-    """(left-out row, predictors, its predicted rating) of each refit fold.
+) -> list[tuple | None]:
+    """Standardize, in place, and stepwise-fit each fold of the (folds, p, m) stack Xs.
 
-    Stacks the folds' training rows as one (folds, p, n - 1) array, each
-    column's values contiguous like those of the F-ordered X[mask][:, keep]
-    a single fold standardizes, and reduces over the last axis: every mean,
-    std and Gram entry then sums in a single fold's order, and each fold's
-    model is bit-identical to the one refitting that fold alone gives.
+    Per fold: None when its ratings ys or all its columns are constant, else
+    (keep, mean, std, y_mean, y_std, selected, betas, r), selected indexing
+    keep. Each column's m values lie contiguous and every reduction runs over
+    the last axis, so a fold's numbers are those of fitting it alone.
     """
-    n, p = X.shape
-    Xs = np.empty((len(folds), p, n - 1))
-    ys = np.empty((len(folds), n - 1))
-    for b, i in enumerate(folds):
-        Xs[b, :, :i] = X[:i].T
-        Xs[b, :, i:] = X[i + 1 :].T
-        ys[b, :i] = y[:i]
-        ys[b, i:] = y[i + 1 :]
+    folds, p, m = Xs.shape
     y_mean = ys.mean(axis=1)
     y_std = ys.std(axis=1, ddof=1)
-    # zscore_fit, per fold: its exact constant test, its re-measure of
-    # underflowing stds and its rejection of a column that still reads 0
-    varies = Xs.max(axis=2) > Xs.min(axis=2)
+    varies, mean, std = _column_stats(Xs, names, y_std != 0.0, True)
     refit = (y_std != 0.0) & varies.any(axis=1)
-    mean = Xs.mean(axis=2)
-    std = np.array([x.std(axis=1, ddof=1) for x in Xs])  # a fold's temporary at a time
-    for b, j in zip(*np.nonzero(refit[:, None] & varies & (std == 0.0))):
-        std[b, j] = _rescaled_std(Xs[b, j])
-    bad = np.argwhere(refit[:, None] & varies & ~((std > 0.0) & np.isfinite(std)))
-    if bad.size:
-        raise ConstantColumnError(f"column {names[bad[0, 1]]!r} has zero variance")
-    if n - 1 < 4:
-        return []  # stepwise_fit's InsufficientDataError: no fold refits
+    if m < 4 and refit.any():
+        raise InsufficientDataError(f"stepwise fit needs >= 4 rows, got {m}")
     # the columns a fold drops (constant within it) divide by 0 here
     with np.errstate(divide="ignore", invalid="ignore"):
         Xs -= mean[..., None]
@@ -472,18 +455,49 @@ def _refit_block(
     grams = []
     for idx in by_keep.values():
         keep = np.flatnonzero(varies[idx[0]])
-        whole = len(idx) == len(folds) and keep.size == p
+        whole = len(idx) == folds and keep.size == p
         grams.append((idx, keep, *_gram(Xs if whole else Xs[np.ix_(idx, keep)], zy[idx])))
     del Xs  # the search needs only the Grams
-    out = []
+    out: list[tuple | None] = [None] * folds
     for idx, keep, G, gy, syy in grams:
-        fits = _stepwise(G, gy, syy, n - 1, entry_p, removal_p)
-        for b, (sel, beta, _) in zip(idx, fits):
-            i = folds[b]
-            z_row = (X[i, keep] - mean[b, keep]) / std[b, keep]
-            score = float(np.dot(z_row[sel], beta)) if sel else 0.0
-            predictors = tuple(names[keep[j]] for j in sel)
-            out.append((i, predictors, float(y_mean[b]) + float(y_std[b]) * score))
+        for b, fit in zip(idx, _stepwise(G, gy, syy, m, entry_p, removal_p)):
+            out[b] = (keep, mean[b, keep], std[b, keep], float(y_mean[b]), float(y_std[b]), *fit)
+    return out
+
+
+def _loo_rows(a: np.ndarray, folds: range) -> np.ndarray:
+    """(folds, cols, n - 1) stack of a's (n, cols) rows, each fold without its own."""
+    n, cols = a.shape
+    out = np.empty((len(folds), cols, n - 1))
+    for b, i in enumerate(folds):
+        out[b, :, :i] = a[:i].T
+        out[b, :, i:] = a[i + 1 :].T
+    return out
+
+
+def _refit_block(
+    X: np.ndarray,
+    y: np.ndarray,
+    folds: range,
+    names: Sequence[str],
+    entry_p: float,
+    removal_p: float,
+) -> list[tuple[int, tuple[str, ...], float]]:
+    """(left-out row, predictors, its predicted rating) of each refit fold."""
+    try:  # rows built in the call, so _fit_stack can free them before its search
+        fits = _fit_stack(
+            _loo_rows(X, folds), _loo_rows(y[:, None], folds)[:, 0], names, entry_p, removal_p
+        )
+    except InsufficientDataError:
+        return []  # too few rows for the stepwise fit: no fold refits
+    out = []
+    for i, fit in zip(folds, fits):
+        if fit is None:
+            continue
+        keep, mean, std, y_mean, y_std, sel, beta, _ = fit
+        z_row = (X[i, keep] - mean) / std
+        score = float(np.dot(z_row[sel], beta)) if sel else 0.0
+        out.append((i, tuple(names[keep[j]] for j in sel), y_mean + y_std * score))
     return out
 
 
@@ -511,6 +525,8 @@ def loocv_stability(
     n = y.size
     if X.shape[0] != n or n < 3:
         raise InsufficientDataError("LOOCV needs >= 3 rows")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise InputError("X and y must be finite")
     p = X.shape[1]
     overall_set = frozenset(overall.predictors)
     identical = 0
@@ -701,18 +717,6 @@ def cross_session_eval(
     return _pearson(scores, y)
 
 
-def _stability_to_dict(report: StabilityReport | None):
-    if report is None:
-        return None
-    return {
-        "n_folds": report.n_folds,
-        "fraction_identical": report.fraction_identical,
-        "r_loocv": report.r_loocv,
-        "r_overall": report.r_overall,
-        "stable": report.stable,
-    }
-
-
 def save_model(path: str, model: RegressionModel) -> None:
     doc = {
         "dv": model.dv,
@@ -728,13 +732,8 @@ def save_model(path: str, model: RegressionModel) -> None:
             name: {"mean": m, "std": s}
             for name, (m, s) in model.standardization.items()
         },
-        "stability": _stability_to_dict(model.stability),
-        "thresholds": {
-            "entry_p": model.thresholds.entry_p,
-            "removal_p": model.thresholds.removal_p,
-            "min_identical_fraction": model.thresholds.min_identical_fraction,
-            "min_r_ratio": model.thresholds.min_r_ratio,
-        },
+        "stability": None if model.stability is None else asdict(model.stability),
+        "thresholds": asdict(model.thresholds),
         "text_uncertain": model.text_uncertain,
         "source": model.source,
     }

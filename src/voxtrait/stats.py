@@ -50,10 +50,10 @@ class PairedTestResult:
 
 
 def _paired_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
-    xa = np.asarray([np.nan if v is None else float(v) for v in a])
-    xb = np.asarray([np.nan if v is None else float(v) for v in b])
-    if xa.shape != xb.shape:
-        raise InputError("paired samples must have equal length")
+    xa = np.asarray(a, dtype=np.float64)  # None reads as NaN
+    xb = np.asarray(b, dtype=np.float64)
+    if xa.ndim != 1 or xa.shape != xb.shape:
+        raise InputError("paired samples must be 1-D and of equal length")
     keep = ~(np.isnan(xa) | np.isnan(xb))
     return xa[keep], xb[keep]
 
@@ -204,24 +204,17 @@ def significance_matrix(
     cells: dict[tuple[str, str, str], MatrixCell] = {}
     for transition in TRANSITIONS:
         sess_a, sess_b = _TRANSITION_SESSIONS[transition]
-        speakers = [
-            s
-            for s in table.speakers()
-            if table.get(s, sess_a) is not None and table.get(s, sess_b) is not None
-        ]
-        if len(speakers) < 2:
+        pairs = [(table.get(s, sess_a), table.get(s, sess_b)) for s in table.speakers()]
+        pairs = [(fa, fb) for fa, fb in pairs if fa is not None and fb is not None]
+        if len(pairs) < 2:
             raise InsufficientDataError(
                 f"transition {transition}: need >= 2 speakers with both sessions"
             )
-        for feature in FEATURE_NAMES:
-            pairs = [
-                (table.get(s, sess_a)[feature], table.get(s, sess_b)[feature])
-                for s in speakers
-            ]
-            a = [p[0] for p in pairs]
-            b = [p[1] for p in pairs]
+        A = np.array([fa.as_array() for fa, _ in pairs])  # speakers x features
+        B = np.array([fb.as_array() for _, fb in pairs])
+        for j, feature in enumerate(FEATURE_NAMES):
             try:
-                res = test_fn(a, b, alpha=max(alphas))
+                res = test_fn(A[:, j], B[:, j], alpha=max(alphas))
             except StatsError:
                 cells[(feature, transition, test)] = MatrixCell("none", "none")
                 continue

@@ -21,7 +21,8 @@ from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
 from voxtrait.acoustics import _MIN_OVERLAP, _OCTAVE_MARGIN, _TINY
-from voxtrait.errors import ConstantColumnError, InputError, InsufficientDataError
+from voxtrait.errors import ConstantColumnError, InputError, InsufficientDataError, StatsError
+from voxtrait.features import FEATURE_NAMES, FeatureTable
 from voxtrait.regression import (
     _COLLINEAR_TOL,
     RegressionModel,
@@ -29,6 +30,16 @@ from voxtrait.regression import (
     Standardization,
     _pearson,
     decide_stable,
+)
+from voxtrait.stats import (
+    _TRANSITION_SESSIONS,
+    TESTS,
+    TRANSITIONS,
+    MatrixCell,
+    SignificanceMatrix,
+    _tier,
+    paired_t_test,
+    wilcoxon_signed_rank,
 )
 from voxtrait.synth import _resonator
 
@@ -776,6 +787,104 @@ def loocv_stability(
         ),
     )
 
+
+
+# zscore_fit as it stood before it shared its rules with the stacked fold
+# fit (with its _rescaled_std), and _paired_arrays and significance_matrix
+# as they stood before the matrix built one array per transition. Kept
+# verbatim; the paired tests and matrix types are the package's own, and
+# the matrix test runs those tests on this _paired_arrays.
+
+
+def _rescaled_std(column: np.ndarray) -> float:
+    """Sample std of a column measured after scaling by its largest magnitude."""
+    m = np.abs(column).max()
+    return m * (column / m).std(ddof=1)
+
+
+def zscore_fit_remeasured(X: np.ndarray, names: Sequence[str]) -> Standardization:
+    """Column means and sample standard deviations; rejects constants."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.shape[0] < 2:
+        raise InsufficientDataError("standardization needs >= 2 rows")
+    if X.shape[1] != len(names):
+        raise InputError("names must match the number of columns")
+    mean = X.mean(axis=0)
+    std = X.std(axis=0, ddof=1)
+    # max == min is the exact constant test: the std of a constant column
+    # can round to a tiny nonzero value (19 copies of 0.1 give 1.4e-17)
+    varies = X.max(axis=0) > X.min(axis=0)
+    # At tiny scales (about 1e-170) the squared deviations underflow and a
+    # varying column's std comes out 0; those columns, and only those, are
+    # measured again after scaling by their largest magnitude.
+    for j in np.flatnonzero(varies & (std == 0.0)):
+        std[j] = _rescaled_std(X[:, j])
+    ok = varies & (std > 0.0) & np.isfinite(std)
+    if not ok.all():
+        name = names[int(np.argmin(ok))]
+        raise ConstantColumnError(f"column {name!r} has zero variance")
+    return Standardization(tuple(names), mean, std)
+
+
+def _paired_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
+    xa = np.asarray([np.nan if v is None else float(v) for v in a])
+    xb = np.asarray([np.nan if v is None else float(v) for v in b])
+    if xa.shape != xb.shape:
+        raise InputError("paired samples must have equal length")
+    keep = ~(np.isnan(xa) | np.isnan(xb))
+    return xa[keep], xb[keep]
+
+
+def significance_matrix(
+    table: FeatureTable,
+    test: str,
+    alphas: tuple[float, float] = (0.01, 0.05),
+) -> SignificanceMatrix:
+    """Run one paired test per feature and session transition.
+
+    Each arrow is the test's own direction at the looser alpha, so it is
+    drawn exactly when the cell reaches a significance tier: the sign of
+    the mean difference for the t-test, W+ against n(n+1)/4 for Wilcoxon.
+    Cells whose feature data is degenerate (too few pairs, zero variance,
+    all-zero differences) are "none"; but a table with fewer than two
+    speakers having both sessions of some transition is rejected outright.
+    """
+    if test not in TESTS:
+        raise InputError(f"test must be one of {TESTS}")
+    test_fn = paired_t_test if test == "t" else wilcoxon_signed_rank
+    cells: dict[tuple[str, str, str], MatrixCell] = {}
+    for transition in TRANSITIONS:
+        sess_a, sess_b = _TRANSITION_SESSIONS[transition]
+        speakers = [
+            s
+            for s in table.speakers()
+            if table.get(s, sess_a) is not None and table.get(s, sess_b) is not None
+        ]
+        if len(speakers) < 2:
+            raise InsufficientDataError(
+                f"transition {transition}: need >= 2 speakers with both sessions"
+            )
+        for feature in FEATURE_NAMES:
+            pairs = [
+                (table.get(s, sess_a)[feature], table.get(s, sess_b)[feature])
+                for s in speakers
+            ]
+            a = [p[0] for p in pairs]
+            b = [p[1] for p in pairs]
+            try:
+                res = test_fn(a, b, alpha=max(alphas))
+            except StatsError:
+                cells[(feature, transition, test)] = MatrixCell("none", "none")
+                continue
+            cells[(feature, transition, test)] = MatrixCell(
+                res.direction,
+                _tier(res.p_value, alphas),
+                p_value=res.p_value,
+                n_pairs=res.n_pairs,
+            )
+    return SignificanceMatrix(features=FEATURE_NAMES, tests=(test,), cells=cells)
 
 
 # The vowel synthesizer as it was before the harmonic source moved to the

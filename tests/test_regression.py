@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import fdtrc, stdtr
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
 from voxtrait import regression
 from voxtrait.errors import (
+    VoxtraitError,
     ConstantColumnError,
     DuplicateKeyError,
     InputError,
@@ -100,7 +103,86 @@ def test_tiny_scale_column_is_standardized():
     assert model.predictors == ("tiny",)
 
 
+_COLUMN_KINDS = ("varied", "constant", "tiny", "overflowing", "infinite")
+_LAYOUTS = ("C", "F", "rows reversed", "columns reversed", "1-D")
+
+
+def _column(kind, n, rng):
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0) + rng.uniform(-50.0, 50.0)
+    if kind == "constant":
+        x[:] = 0.1
+    elif kind == "tiny":  # squared deviations underflow: the std is measured again
+        x *= 1e-172
+    elif kind == "overflowing":  # squared deviations overflow: the std reads inf
+        x = rng.choice([-1e300, 1e300, 3e299], n)
+    elif kind == "infinite":
+        x[rng.integers(n)] = rng.choice([-np.inf, np.inf])
+    return x
+
+
+def _zscore_outcome(fit, X, names):
+    try:
+        stz = fit(X, names)
+    except VoxtraitError as exc:
+        return type(exc), str(exc)
+    return stz.names, stz.mean.tobytes(), stz.std.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the reference on inf
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 25),
+    st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5),
+    st.sampled_from(_LAYOUTS),
+    st.integers(0, 2**32 - 1),
+)
+def test_zscore_fit_equals_the_reference_copy(n, kinds, layout, seed):
+    """Same means and stds, bit for bit, and the same error, in every layout.
+
+    Only input holding an inf differs: it is now rejected as non-finite,
+    where the reference reported a zero-variance column.
+    """
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([_column(kind, n, rng) for kind in kinds])
+    X = {
+        "C": X,
+        "F": np.asfortranarray(X),
+        "rows reversed": X[::-1],
+        "columns reversed": X[:, ::-1],
+        "1-D": X[:, 0],
+    }[layout]
+    names = [f"c{j}" for j in range(1 if X.ndim == 1 else X.shape[1])]
+    got = _zscore_outcome(zscore_fit, X, names)
+    want = _zscore_outcome(oracles.zscore_fit_remeasured, X, names)
+    if n >= 2 and not np.isfinite(X).all():
+        assert got == (InputError, "X must be finite")
+        assert want[0] is ConstantColumnError
+    else:
+        assert got == want
+
+
+def test_zscore_fit_rejects_a_nan():
+    X = np.random.default_rng(1).standard_normal((20, 3))
+    X[4, 1] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        zscore_fit(X, ["a", "b", "c"])
+
+
 # --------------------------------------------------------- stepwise core
+
+
+def test_stepwise_fit_rejects_a_nan():
+    rng = np.random.default_rng(0)
+    Z, stz = _standardize(rng.standard_normal((30, 5)))
+    zy = Z[:, 0] + 0.5 * rng.standard_normal(30)
+    zy[3] = np.nan  # a NaN rss once made every scan a p = 0 "perfect fit"
+    with pytest.raises(InputError, match="finite"):
+        stepwise_fit(Z, zy, stz.names)
+    zy[3] = 0.0
+    Z[7, 2] = np.inf
+    with pytest.raises(InputError, match="finite"):
+        stepwise_fit(Z, zy, stz.names)
 
 
 def test_perfect_single_predictor():
@@ -470,6 +552,18 @@ def test_loocv_raises_a_fold_constant_column_error(monkeypatch, folds_per_block)
     with pytest.raises(ConstantColumnError) as got:
         loocv_stability(X, y, names, overall)
     assert str(got.value) == str(want.value) == "column 'x4' has zero variance"
+
+
+def test_loocv_rejects_a_nan():
+    X, y, names = _edge_design()
+    overall = _fit_standardized(X, y, names, 0.05, 0.10)[0]
+    y[5] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        loocv_stability(X, y, names, overall)
+    y[5] = 4.0
+    X[9, 1] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        loocv_stability(X, y, names, overall)
 
 
 @pytest.mark.parametrize("n_speakers", [150, 600])

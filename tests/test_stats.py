@@ -1,13 +1,17 @@
 """Paired tests against independent oracles, plus matrix and vector logic."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import brute_force_signed_rank_p, t_sf
+from voxtrait import stats
 from voxtrait.errors import (
     AllZeroDifferencesError,
     InputError,
@@ -18,6 +22,7 @@ from voxtrait.errors import (
 from voxtrait.features import FEATURE_NAMES, FeatureTable, FeatureVector
 from voxtrait.stats import (
     EXACT_WILCOXON_MAX_N,
+    TESTS,
     TRANSITIONS,
     SignificanceMatrix,
     cosine_similarity,
@@ -84,6 +89,32 @@ def test_t_errors():
         paired_t_test([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(InputError):
         paired_t_test([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "a,b", [(1.0, 2.0), ([[1.0, 2.0, 3.0]], [[2.0, 4.0, 5.0]]), (np.ones((3, 1)), np.ones((3, 1)))]
+)
+def test_paired_tests_reject_input_that_is_not_1d(a, b):
+    for test_fn in (paired_t_test, wilcoxon_signed_rank):
+        with pytest.raises(InputError):
+            test_fn(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.none() | st.floats(-1e6, 1e6) | st.integers(-1000, 1000),
+            st.none() | st.floats(-1e6, 1e6) | st.integers(-1000, 1000),
+        ),
+        max_size=12,
+    )
+)
+def test_paired_arrays_equal_the_reference_copy(pairs):
+    a = [p[0] for p in pairs]
+    b = [p[1] for p in pairs]
+    for got, want in zip(stats._paired_arrays(a, b), oracles._paired_arrays(a, b)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------- signed rank
@@ -231,6 +262,47 @@ def test_wilcoxon_arrow_follows_the_signed_ranks_not_the_mean_shift():
     for transition in ("1->2", "1->3"):
         cell = matrix.cell("spkrate", transition, "W")
         assert (cell.direction, cell.tier) == ("up", "p01")
+
+
+def _make_table(seed):
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads_for_stats", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_table(seed)[0]
+
+
+def _with_holes(table):
+    """Every 7th cell absent, every 13th speaker without S2, one flat descriptor."""
+    holed = FeatureTable()
+    for k, row in enumerate(table.rows):
+        if row.session == "S2" and k % 39 == 1:
+            continue
+        values = {
+            name: None if (k * 5 + j) % 7 == 0 else v
+            for j, (name, v) in enumerate(row.features.values.items())
+        }
+        values["b1"] = 2.0  # all-zero differences: a degenerate cell
+        holed.add(row.speaker_id, row.session, FeatureVector(values))
+    return holed
+
+
+@pytest.mark.parametrize("seed,holes", [(7, False), (11, False), (3, True)])
+def test_significance_matrix_equals_the_reference_copy(monkeypatch, seed, holes):
+    """Every cell, p-value included, is == the per-feature-lookup code's."""
+    table = _make_table(seed)
+    if holes:
+        table = _with_holes(table)
+    for test in TESTS:
+        got = significance_matrix(table, test)
+        with monkeypatch.context() as m:
+            m.setattr(stats, "_paired_arrays", oracles._paired_arrays)
+            want = oracles.significance_matrix(table, test)
+        assert list(got.cells.items()) == list(want.cells.items())
+        assert (got.features, got.tests) == (want.features, want.tests)
+        assert any(cell.tier != "none" for cell in got.cells.values())
+        if holes:
+            assert got.cell("b1", "1->2", test).p_value is None
 
 
 def test_matrix_rejects_missing_transition_speakers():
