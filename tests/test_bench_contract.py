@@ -5,9 +5,9 @@ timing wrapper, so a refactor that removes or renames one breaks the traced
 run. One test calls `install_wrappers` with a tracer that only looks each
 name up. Another runs one pass of the `corpus` and `table` workloads with
 their per-operation correctness checks, which a benchmark run also applies,
-and a third checks that two `table` passes in one process give the same
-digests, as a benchmark run checks across its passes, and pins the seed-7
-digests themselves.
+and pins the seed-7 `corpus` digests; a third checks that two `table`
+passes in one process give the same digests, as a benchmark run checks
+across its passes, and pins the seed-7 `table` digests themselves.
 """
 
 import importlib.util
@@ -58,10 +58,21 @@ def test_corpus_and_table_passes_pass_their_checks(tmp_path):
     tracing = _bench_module("tracing")
     workloads.Corpus.build(str(tmp_path), 7)
     rec = tracing.Recorder()
-    for workload in (workloads.Corpus, workloads.Table):
-        workload(str(tmp_path), 7).run_pass(rec)
+    corpus = workloads.Corpus(str(tmp_path), 7)
+    corpus_out = corpus.run_pass(rec)
+    workloads.Table(str(tmp_path), 7).run_pass(rec)
     assert {op.kind for op in rec.ops} >= {"recording", "csv", "matrix", "model", "scores"}
     assert [(op.op_id, op.errors) for op in rec.ops if not op.ok] == []
+    # the seed-7 feature table, both arrow matrices and the model JSON,
+    # byte for byte: the audio path from WAV to descriptors feeds them all
+    assert corpus.digests(corpus_out) == {
+        "features_csv": "96c18d3be966d140faa8fe932f50156841f3c42c2dfc479dea0f6e399b7ce9ab",
+        "t_arrows_csv": "ae163a4414e759cb89d4644854ff202c2c34cf988be885cc2f75c62bd64d4c37",
+        "W_arrows_csv": "c4b51524ef85462fb6f72b1c4ca0d9284bdd191403ecb3324f60c3cbd3a5395d",
+        "cooperative_S1_model_json": (
+            "22cdd983cbd6ce416c8dac73130d39ed1e87d217d0c37719bbb9bbe4cf803293"
+        ),
+    }
 
 
 def test_table_passes_give_equal_digests(tmp_path):

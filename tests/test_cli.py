@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from voxtrait.cli import main
+from voxtrait.config import RunConfig
 from voxtrait.features import (
     FEATURE_NAMES,
     FeatureTable,
@@ -125,15 +126,36 @@ def test_extract_unexpected_error_fails_one_row(corpus, tmp_path, capsys, monkey
     assert "in segment_or_fail" in err  # the traceback, from a worker too
 
 
+# each config flag with a value away from its default
+CONFIG_FLAG_VALUES = {
+    "sample_rate": 8000,
+    "pause_min_duration": 0.9,
+    "voicing_threshold": 0.5,
+    "entry_p": 0.02,
+    "removal_p": 0.2,
+    "seed": 9,
+    "jobs": 2,
+}
+
+
 def test_extract_config_override_lands_in_sidecar(corpus, tmp_path, capsys):
-    out = str(tmp_path / "f.csv")
-    code = main(
-        ["extract", "--manifest", corpus.manifest, "--out", out,
-         "--pause-min-duration", "0.9", "--jobs", "1"]
+    # one recording keeps the seven runs cheap; each flag alone must land
+    # on its own field and leave every other field at its default
+    with open(corpus.manifest, newline="", encoding="utf-8") as fh:
+        first = next(csv.DictReader(fh))
+    manifest = tmp_path / "one.csv"
+    manifest.write_text(
+        f"path,speaker_id,session\n"
+        f"{os.path.join(corpus.root, first['path'])},{first['speaker_id']},{first['session']}\n"
     )
-    assert code == 0
-    sidecar = json.loads(open(out + ".run.json").read())
-    assert sidecar["config"]["pause_min_duration"] == 0.9
+    default = RunConfig().to_dict()
+    for name, value in CONFIG_FLAG_VALUES.items():
+        out = str(tmp_path / f"{name}.csv")
+        flag = "--" + name.replace("_", "-")
+        code = main(["extract", "--manifest", str(manifest), "--out", out, flag, str(value)])
+        assert code == 0, name
+        sidecar = json.loads(open(out + ".run.json").read())
+        assert sidecar["config"] == {**default, name: value}, name
 
 
 def test_extract_rejects_frames_too_short_for_the_pitch_range(corpus, tmp_path, capsys):

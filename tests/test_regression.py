@@ -1,5 +1,7 @@
 """Stepwise selection, stability gating, training and evaluation plumbing."""
 
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from voxtrait.regression import (
     DV_NAMES,
     RatingTable,
     RegressionModel,
+    StabilityReport,
     Thresholds,
     _fit_standardized,
     _forward_scan,
@@ -760,6 +763,40 @@ def test_model_json_round_trip(tmp_path):
     save_model(path, model)
     back = load_model(path)
     assert back == model
+
+    # every threshold and stability field away from its default or the
+    # trained value, so a field dropped on load shows
+    thresholds = Thresholds(
+        entry_p=0.02, removal_p=0.2, min_identical_fraction=0.6, min_r_ratio=0.55
+    )
+    stability = StabilityReport(
+        n_folds=model.stability.n_folds + 3,
+        fraction_identical=0.625,
+        r_loocv=0.3125,
+        r_overall=0.8125,
+        stable=not model.stability.stable,
+    )
+    for f in dataclasses.fields(Thresholds):
+        assert getattr(thresholds, f.name) != f.default, f.name
+    for f in dataclasses.fields(StabilityReport):
+        assert getattr(stability, f.name) != getattr(model.stability, f.name), f.name
+    varied = dataclasses.replace(model, thresholds=thresholds, stability=stability)
+    save_model(path, varied)
+    assert load_model(path) == varied
+
+    # a thresholds key left out takes its default; a non-number is refused
+    doc = json.loads((tmp_path / "model.json").read_text())
+    del doc["thresholds"]["removal_p"]
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    assert load_model(path).thresholds == dataclasses.replace(
+        thresholds, removal_p=Thresholds().removal_p
+    )
+    for section, key in (("thresholds", "entry_p"), ("stability", "r_loocv")):
+        broken = json.loads(json.dumps(doc))
+        broken[section][key] = "often"
+        (tmp_path / "model.json").write_text(json.dumps(broken))
+        with pytest.raises(TableFormatError):
+            load_model(path)
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

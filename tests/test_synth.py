@@ -66,6 +66,24 @@ def test_corpus_wav_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == SEED3_WAV_SHA256
 
 
+# sha256 of the three CSVs of generate_corpus(n_speakers=2, seed=3): the
+# manifest, the ratings and the ground-truth latents.
+SEED3_CSV_SHA256 = {
+    "manifest.csv": "355212ea5a36ba6000b6d054ab071e54e8ca7e94f2a33852e6df1bffd1b036af",
+    "ratings.csv": "6dd79e113bdd4db0e2b1ac9d050f69f36c6cb2373ee3aa1f22ebc1d5d4e43db8",
+    "latents.csv": "bb3edd4a133bfe78c05ed2ef5487fd42244dc2d0ef3055bc863605d677db8174",
+}
+
+
+def test_corpus_csv_bytes_are_pinned(tmp_path):
+    generate_corpus(str(tmp_path), n_speakers=2, seed=3)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in SEED3_CSV_SHA256
+    }
+    assert got == SEED3_CSV_SHA256
+
+
 def test_corpus_inventory(corpus):
     n = 6
     wavs = sorted(os.listdir(corpus.wav_dir))
