@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -77,18 +78,8 @@ def _emit_run_config(command: str, cfg: RunConfig, out_path: str | None) -> None
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        name: getattr(args, name, None)
-        for name in (
-            "sample_rate",
-            "pause_min_duration",
-            "voicing_threshold",
-            "entry_p",
-            "removal_p",
-            "seed",
-            "jobs",
-        )
-    }
+    """The --config file with every RunConfig field given as a flag laid over it."""
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return load_config(getattr(args, "config", None), **overrides)
 
 
@@ -115,11 +106,8 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
     return rows
 
 
-def _extract_one(job: tuple[str, str, str, dict]) -> tuple[str, str, FeatureVector]:
-    path, speaker, session, cfg_dict = job
-    cfg_dict = dict(cfg_dict)
-    cfg_dict["alphas"] = tuple(cfg_dict["alphas"])
-    cfg = RunConfig(**cfg_dict)
+def _extract_one(job: tuple[str, str, str, RunConfig]) -> tuple[str, str, FeatureVector]:
+    path, speaker, session, cfg = job
     clip = load_wav(path, source_id=f"{speaker}/{session}")
     clip = resample(clip, cfg.sample_rate)
     seg = segment_clip(clip, cfg)
@@ -129,7 +117,7 @@ def _extract_one(job: tuple[str, str, str, dict]) -> tuple[str, str, FeatureVect
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     manifest = read_manifest(args.manifest)
-    jobs = [(path, spk, ses, cfg.to_dict()) for path, spk, ses in manifest]
+    jobs = [(path, spk, ses, cfg) for path, spk, ses in manifest]
     if cfg.jobs > 1 and len(jobs) > 1:
         # one future per manifest row keeps the outcomes in manifest order
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -202,10 +190,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     table = read_table_csv(args.features)
     ratings = read_ratings_csv(args.ratings)
     thresholds = Thresholds(
-        entry_p=cfg.entry_p,
-        removal_p=cfg.removal_p,
-        min_identical_fraction=cfg.min_identical_fraction,
-        min_r_ratio=cfg.min_r_ratio,
+        **{f.name: getattr(cfg, f.name) for f in dataclasses.fields(Thresholds)}
     )
     model = train_model(
         table,
@@ -383,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix")
     p.add_argument("--published", action="store_true",
                    help="use the packaged published arrow matrix")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=max(RunConfig.alphas))
     p.add_argument("--test", choices=["t", "W"], default="W")
     _add_config_flags(p)
     p.set_defaults(func=cmd_transition_similarity)

@@ -7,7 +7,8 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .acoustics import min_frame_samples
+from . import acoustics
+from .audio_io import TARGET_RATE
 from .errors import InputError
 
 
@@ -15,18 +16,21 @@ from .errors import InputError
 class RunConfig:
     """Every tunable the pipeline reads, with range-checked defaults.
 
-    Defaults follow the canonical operating point: 11025 Hz analysis rate,
-    400 ms pause floor, significance levels .01/.05, stability gates
+    The defaults are the one canonical operating point: 11025 Hz analysis
+    rate, 400 ms pause floor, significance levels .01/.05, stability gates
     0.75/0.75, voicing threshold 0.45 and an F0 search range of 75-500 Hz.
+    Every other default in the package names one of these fields; the rate
+    and the acoustics constants come from `audio_io` and `acoustics`, which
+    this module imports.
     """
 
-    sample_rate: int = 11025
-    f0_floor: float = 75.0
-    f0_ceiling: float = 500.0
-    voicing_threshold: float = 0.45
+    sample_rate: int = TARGET_RATE
+    f0_floor: float = acoustics.F0_FLOOR_HZ
+    f0_ceiling: float = acoustics.F0_CEILING_HZ
+    voicing_threshold: float = acoustics.VOICING_THRESHOLD
     pause_min_duration: float = 0.400
-    frame_length: float = 0.025
-    frame_hop: float = 0.010
+    frame_length: float = acoustics.SUBFRAME_LENGTH_S
+    frame_hop: float = acoustics.SUBFRAME_HOP_S
     prosody_window: float = 0.080
     spectral_window: float = 0.040
     nucleus_drop_db: float = 6.0
@@ -55,7 +59,7 @@ class RunConfig:
             raise InputError("pause_min_duration must be positive")
         if not 0 < self.frame_hop <= self.frame_length:
             raise InputError("need 0 < frame_hop <= frame_length")
-        shortest = min_frame_samples(self.sample_rate, self.f0_floor, self.f0_ceiling)
+        shortest = acoustics.min_frame_samples(self.sample_rate, self.f0_floor, self.f0_ceiling)
         if int(round(self.frame_length * self.sample_rate)) < shortest:
             raise InputError(
                 f"frame_length must span >= {shortest} samples at "
@@ -108,6 +112,4 @@ def load_config(path: str | None, **overrides: Any) -> RunConfig:
     unknown = set(values) - known
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    if "alphas" in values:
-        values["alphas"] = tuple(values["alphas"])
     return RunConfig(**values)

@@ -1,10 +1,14 @@
-"""The one reader behind every CSV input: features, ratings, arrows, manifest, stats."""
+"""The one reader and the one writer behind every CSV file the package reads or writes.
+
+Inputs: features, ratings, arrows, manifest, stats. Outputs: features,
+ratings, arrows, and the synthetic corpus's manifest and latents.
+"""
 
 from __future__ import annotations
 
 import csv
 import math
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, TableFormatError
 
@@ -42,6 +46,14 @@ def read_csv(path: str, header: list[str], parse_row: Callable[[int, list[str]],
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:
         raise TableFormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write header and then rows to path as UTF-8 CSV, the form read_csv reads."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def finite(cell: str) -> float:

@@ -21,7 +21,6 @@ A measure that cannot be computed is absent (None), never silently zero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -30,7 +29,7 @@ import numpy as np
 from . import acoustics
 from .audio_io import AudioClip
 from .config import RunConfig
-from .csvio import finite, read_csv
+from .csvio import finite, read_csv, write_csv
 from .errors import DuplicateKeyError, InputError
 from .segmentation import SegmentationResult, segment_clip
 
@@ -288,15 +287,14 @@ def write_table_csv(path: str, table: FeatureTable) -> None:
 
     Floats are written with repr, which round-trips float64 exactly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["speaker_id", "session", *FEATURE_NAMES])
-        for row in table.rows:
-            cells = [row.speaker_id, row.session]
-            for name in FEATURE_NAMES:
-                v = row.features[name]
-                cells.append("" if v is None else repr(float(v)))
-            writer.writerow(cells)
+    rows = []
+    for row in table.rows:
+        cells = [row.speaker_id, row.session]
+        for name in FEATURE_NAMES:
+            v = row.features[name]
+            cells.append("" if v is None else repr(float(v)))
+        rows.append(cells)
+    write_csv(path, ["speaker_id", "session", *FEATURE_NAMES], rows)
 
 
 def read_table_csv(path: str) -> FeatureTable:

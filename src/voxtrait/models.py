@@ -119,22 +119,20 @@ def get_model(dv: str, session: str) -> ReferenceModel:
     raise InputError(f"no registry model for dv={dv!r}, session={session!r}")
 
 
-def _z_lookup(z: Mapping[str, float | None] | FeatureVector, name: str) -> float:
-    if isinstance(z, FeatureVector):
-        if not z.present(name):
-            raise MissingFeatureError(f"feature {name!r} is absent from the vector")
-        return float(z[name])
-    if name not in z or z[name] is None:
-        raise MissingFeatureError(f"feature {name!r} is absent from the vector")
-    return float(z[name])
+def _values(vector: FeatureVector | Mapping[str, float | None]) -> Mapping[str, float | None]:
+    """Name -> value, None where absent; a FeatureVector's holds all 30 names."""
+    return vector.values if isinstance(vector, FeatureVector) else vector
 
 
 def score(model: ReferenceModel, z: Mapping[str, float | None] | FeatureVector) -> ScoreReport:
     """Score an already-standardized vector: sum of beta * z per predictor."""
+    values = _values(z)
     terms = []
     total = 0.0
     for name, beta in zip(model.predictors, model.betas):
-        zv = _z_lookup(z, name)
+        if values.get(name) is None:
+            raise MissingFeatureError(f"feature {name!r} is absent from the vector")
+        zv = float(values[name])
         product = beta * zv
         total += product
         terms.append(ScoreTerm(predictor=name, z_value=zv, product=product))
@@ -156,18 +154,14 @@ def standardize_against(
     Only features present in both the vector and the statistics come back;
     a zero or negative std is an error rather than a silent skip.
     """
+    values = _values(vector)
     out: dict[str, float] = {}
     for name, (mean, std) in stats.items():
         if name not in FEATURE_NAMES:
             raise InputError(f"unknown feature {name!r} in reference statistics")
-        if isinstance(vector, FeatureVector):
-            if not vector.present(name):
-                continue
-            x = float(vector[name])
-        else:
-            if name not in vector or vector[name] is None:
-                continue
-            x = float(vector[name])
+        if values.get(name) is None:
+            continue
+        x = float(values[name])
         if not std > 0.0:
             raise InputError(f"reference std for {name!r} must be positive")
         out[name] = (x - mean) / std

@@ -15,16 +15,16 @@ predictor set and the LOOCV r must hold up against the training r.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Sequence, get_type_hints
 
 import numpy as np
 from scipy.special import fdtrc, stdtr
 
-from .csvio import read_csv
+from .config import RunConfig
+from .csvio import read_csv, write_csv
 from .errors import (
     ConstantColumnError,
     DuplicateKeyError,
@@ -122,10 +122,12 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class Thresholds:
-    entry_p: float = 0.05
-    removal_p: float = 0.10
-    min_identical_fraction: float = 0.75
-    min_r_ratio: float = 0.75
+    """The stepwise entry/removal p-values and the two stability gates."""
+
+    entry_p: float = RunConfig.entry_p
+    removal_p: float = RunConfig.removal_p
+    min_identical_fraction: float = RunConfig.min_identical_fraction
+    min_r_ratio: float = RunConfig.min_r_ratio
 
 
 @dataclass(frozen=True)
@@ -160,15 +162,16 @@ def decide_stable(
     fraction_identical: float,
     r_loocv: float,
     r_overall: float,
-    min_identical_fraction: float = 0.75,
-    min_r_ratio: float = 0.75,
+    thresholds: Thresholds = Thresholds(),
 ) -> bool:
-    """Both gates, exactly as stated: fraction >= 0.75 AND ratio > 0.75."""
-    if fraction_identical < min_identical_fraction:
+    """Both gates, exactly as stated: fraction_identical >= min_identical_fraction
+    AND r_loocv / r_overall > min_r_ratio, from thresholds (.75 and .75 by default).
+    """
+    if fraction_identical < thresholds.min_identical_fraction:
         return False
     if r_overall <= 0.0:
         return False
-    return (r_loocv / r_overall) > min_r_ratio
+    return (r_loocv / r_overall) > thresholds.min_r_ratio
 
 
 def _take(a: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -348,8 +351,8 @@ def stepwise_fit(
     Z: np.ndarray,
     zy: np.ndarray,
     names: Sequence[str],
-    entry_p: float = 0.05,
-    removal_p: float = 0.10,
+    entry_p: float = RunConfig.entry_p,
+    removal_p: float = RunConfig.removal_p,
 ) -> RegressionModel:
     """Forward/backward stepwise OLS on standardized data.
 
@@ -506,12 +509,9 @@ def loocv_stability(
     y: np.ndarray,
     names: Sequence[str],
     overall: RegressionModel,
-    entry_p: float = 0.05,
-    removal_p: float = 0.10,
-    min_identical_fraction: float = 0.75,
-    min_r_ratio: float = 0.75,
+    thresholds: Thresholds = Thresholds(),
 ) -> StabilityReport:
-    """Leave-one-out refits of the whole stepwise pipeline.
+    """Leave-one-out refits of the whole stepwise pipeline, gated by thresholds.
 
     Each fold re-standardizes with its own training statistics, refits, and
     predicts the held-out rating. A fold counts as identical when its
@@ -534,7 +534,9 @@ def loocv_stability(
     per_block = max(1, LOOCV_BLOCK_BYTES // (8 * max(p, 1) * (n - 1 + p)))
     for start in range(0, n, per_block):
         folds = range(start, min(start + per_block, n))
-        for i, predictors, pred in _refit_block(X, y, folds, names, entry_p, removal_p):
+        for i, predictors, pred in _refit_block(
+            X, y, folds, names, thresholds.entry_p, thresholds.removal_p
+        ):
             if frozenset(predictors) == overall_set:
                 identical += 1
             preds[i] = pred
@@ -546,9 +548,7 @@ def loocv_stability(
         fraction_identical=fraction,
         r_loocv=r_loocv,
         r_overall=overall.train_r,
-        stable=decide_stable(
-            fraction, r_loocv, overall.train_r, min_identical_fraction, min_r_ratio
-        ),
+        stable=decide_stable(fraction, r_loocv, overall.train_r, thresholds),
     )
 
 
@@ -586,11 +586,11 @@ def read_ratings_csv(path: str) -> RatingTable:
 
 
 def write_ratings_csv(path: str, table: RatingTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["speaker_id", "dv", "rater_type", "rating"])
-        for (speaker_id, dv, rater_type), rating in table.ratings.items():
-            writer.writerow([speaker_id, dv, rater_type, rating])
+    write_csv(
+        path,
+        ["speaker_id", "dv", "rater_type", "rating"],
+        ([*key, rating] for key, rating in table.ratings.items()),
+    )
 
 
 def assemble_design(
@@ -599,7 +599,7 @@ def assemble_design(
     dv: str,
     session: str,
     rater_type: str,
-    max_absent_fraction: float = 0.10,
+    max_absent_fraction: float = RunConfig.max_absent_fraction,
 ) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
     """(X, y, kept feature names, speaker ids) for one training problem.
 
@@ -634,7 +634,7 @@ def train_model(
     session: str,
     rater_type: str = "P",
     thresholds: Thresholds | None = None,
-    max_absent_fraction: float = 0.10,
+    max_absent_fraction: float = RunConfig.max_absent_fraction,
 ) -> RegressionModel:
     """Standardize, stepwise-fit and stability-check one rating model.
 
@@ -654,16 +654,7 @@ def train_model(
     if fitted is None:
         raise ConstantColumnError("ratings or all feature columns are constant")
     model, stz, y_mean, y_std = fitted
-    stability = loocv_stability(
-        X,
-        y,
-        names,
-        model,
-        entry_p=th.entry_p,
-        removal_p=th.removal_p,
-        min_identical_fraction=th.min_identical_fraction,
-        min_r_ratio=th.min_r_ratio,
-    )
+    stability = loocv_stability(X, y, names, model, th)
     standardization = {
         name: (float(m), float(s)) for name, m, s in zip(stz.names, stz.mean, stz.std)
     }
@@ -751,17 +742,7 @@ def load_model(path: str) -> RegressionModel:
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        stability = None
-        if doc.get("stability") is not None:
-            s = doc["stability"]
-            stability = StabilityReport(
-                n_folds=int(s["n_folds"]),
-                fraction_identical=float(s["fraction_identical"]),
-                r_loocv=float(s["r_loocv"]),
-                r_overall=float(s["r_overall"]),
-                stable=bool(s["stable"]),
-            )
-        th = doc.get("thresholds", {})
+        stability = doc.get("stability")
         return RegressionModel(
             predictors=tuple(p["name"] for p in doc["predictors"]),
             betas=tuple(float(p["beta"]) for p in doc["predictors"]),
@@ -774,15 +755,21 @@ def load_model(path: str) -> RegressionModel:
                 name: (float(v["mean"]), float(v["std"]))
                 for name, v in doc.get("standardization", {}).items()
             },
-            thresholds=Thresholds(
-                entry_p=float(th.get("entry_p", 0.05)),
-                removal_p=float(th.get("removal_p", 0.10)),
-                min_identical_fraction=float(th.get("min_identical_fraction", 0.75)),
-                min_r_ratio=float(th.get("min_r_ratio", 0.75)),
-            ),
-            stability=stability,
+            thresholds=_from_json(Thresholds, doc.get("thresholds", {})),
+            stability=None if stability is None else _from_json(StabilityReport, stability),
             text_uncertain=bool(doc.get("text_uncertain", False)),
             source=doc.get("source", "trained"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TableFormatError(f"{path}: malformed model file: {exc}") from exc
+
+
+def _from_json(cls, obj: dict):
+    """The dataclass cls from a JSON object, each field cast to its annotated type.
+
+    A key left out takes the field's default; a field without one is required.
+    """
+    if not isinstance(obj, dict):
+        raise TypeError(f"{cls.__name__} must be a JSON object")
+    types = get_type_hints(cls)
+    return cls(**{f.name: types[f.name](obj[f.name]) for f in fields(cls) if f.name in obj})

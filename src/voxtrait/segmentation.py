@@ -22,12 +22,6 @@ from .audio_io import AudioClip
 from .config import RunConfig
 from .errors import ClipTooShortError, InputError
 
-PAUSE_MIN_DURATION_S = 0.400
-NUCLEUS_DROP_DB = 6.0
-MIN_VOWEL_DURATION_S = 0.030
-MIN_NUCLEUS_SEPARATION_S = 0.060
-SPEECH_FLOOR_DROP_DB = 20.0
-
 # Frames scored per block by analyze_frames. At the default 276-sample
 # frames and 512-point FFT a block's working arrays take about 20 MB.
 FRAME_BLOCK = 1024
@@ -117,28 +111,25 @@ def _score_frames(frames: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.
     return energy, strength
 
 
-def analyze_frames(
-    clip: AudioClip,
-    frame_length: float = acoustics.SUBFRAME_LENGTH_S,
-    hop: float = acoustics.SUBFRAME_HOP_S,
-    f0_floor: float = acoustics.F0_FLOOR_HZ,
-    f0_ceiling: float = acoustics.F0_CEILING_HZ,
-    voicing_threshold: float = acoustics.VOICING_THRESHOLD,
-) -> FrameTrack:
+def analyze_frames(clip: AudioClip, cfg: RunConfig | None = None) -> FrameTrack:
     """Slice a clip into frames and score energy plus voicing for each.
 
-    Voicing strength is the peak normalized autocorrelation in the pitch lag
-    range; a frame is voiced when it reaches the threshold. Digital silence
-    scores 0 and lands at the -120 dB energy floor. Frames are strided
-    views of the clip, scored FRAME_BLOCK at a time, so working memory does
-    not grow with clip length.
+    Frames are cfg.frame_length long every cfg.frame_hop. Voicing strength
+    is the peak normalized autocorrelation over the pitch lags of
+    cfg.f0_floor to cfg.f0_ceiling; a frame is voiced when it reaches
+    cfg.voicing_threshold. Digital silence scores 0 and lands at the
+    -120 dB energy floor. Frames are strided views of the clip, scored
+    FRAME_BLOCK at a time, so working memory does not grow with clip
+    length. The clip's own rate sets the frame sizes in samples, and it may
+    differ from cfg.sample_rate, so the frame geometry is checked again here.
     """
+    cfg = cfg or RunConfig()
     rate = clip.sample_rate
-    flen = int(round(frame_length * rate))
-    hop_s = int(round(hop * rate))
+    flen = int(round(cfg.frame_length * rate))
+    hop_s = int(round(cfg.frame_hop * rate))
     if flen <= 1 or hop_s < 1 or hop_s > flen:
         raise InputError("bad frame geometry")
-    shortest = acoustics.min_frame_samples(rate, f0_floor, f0_ceiling)
+    shortest = acoustics.min_frame_samples(rate, cfg.f0_floor, cfg.f0_ceiling)
     if flen < shortest:
         raise InputError(
             f"{flen}-sample frames are too short for the F0 range; need >= {shortest}"
@@ -151,7 +142,7 @@ def analyze_frames(
     frames = sliding_window_view(x, flen)[::hop_s]
     n_frames = frames.shape[0]
 
-    lo, hi = acoustics.pitch_lags(rate, f0_floor, f0_ceiling)
+    lo, hi = acoustics.pitch_lags(rate, cfg.f0_floor, cfg.f0_ceiling)
     energy = np.empty(n_frames)
     strength = np.empty(n_frames)
     for a in range(0, n_frames, FRAME_BLOCK):
@@ -164,7 +155,7 @@ def analyze_frames(
         hop_samples=hop_s,
         energy_db=energy,
         voicing_strength=strength,
-        voiced=strength >= voicing_threshold,
+        voiced=strength >= cfg.voicing_threshold,
     )
 
 
@@ -185,19 +176,16 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def detect_vowels(
-    track: FrameTrack,
-    nucleus_drop_db: float = NUCLEUS_DROP_DB,
-    min_duration: float = MIN_VOWEL_DURATION_S,
-    min_separation: float = MIN_NUCLEUS_SEPARATION_S,
-) -> list[VowelSegment]:
+def detect_vowels(track: FrameTrack, cfg: RunConfig | None = None) -> list[VowelSegment]:
     """Vowel segments grown from voiced-energy nuclei.
 
-    Nuclei are voiced local energy maxima at least min_separation apart;
-    each grows over contiguous voiced frames within nucleus_drop_db of its
-    own energy. Stronger nuclei claim frames first, so one burst yields one
-    segment. Segments shorter than min_duration are dropped.
+    Nuclei are voiced local energy maxima at least cfg.min_nucleus_separation
+    apart; each grows over contiguous voiced frames within
+    cfg.nucleus_drop_db of its own energy. Stronger nuclei claim frames
+    first, so one burst yields one segment. Segments shorter than
+    cfg.min_vowel_duration are dropped.
     """
+    cfg = cfg or RunConfig()
     energy = track.energy_db
     voiced = track.voiced
     n = track.n_frames
@@ -214,7 +202,7 @@ def detect_vowels(
         return []
     order = candidates[np.argsort(-energy[candidates], kind="stable")]
 
-    min_sep_frames = max(1, int(round(min_separation / hop)))
+    min_sep_frames = max(1, int(round(cfg.min_nucleus_separation / hop)))
     claimed = np.zeros(n, dtype=bool)
     accepted: list[int] = []  # sorted; only the neighbours of c can be too close
     spans: list[tuple[int, int]] = []
@@ -226,7 +214,7 @@ def detect_vowels(
             i > 0 and c - accepted[i - 1] < min_sep_frames
         ):
             continue
-        floor = energy[c] - nucleus_drop_db
+        floor = energy[c] - cfg.nucleus_drop_db
         a = c
         while a - 1 >= 0 and voiced[a - 1] and energy[a - 1] >= floor and not claimed[a - 1]:
             a -= 1
@@ -241,7 +229,7 @@ def detect_vowels(
     for a, b in spans:
         start = a * hop
         end = (b + 1) * hop
-        if end - start >= min_duration:
+        if end - start >= cfg.min_vowel_duration:
             segments.append(VowelSegment(start=start, end=end))
     segments.sort(key=lambda s: s.start)
     return segments
@@ -262,24 +250,22 @@ def select_stressed(vowels: list[VowelSegment]) -> list[VowelSegment]:
 
 
 def detect_pauses(
-    track: FrameTrack,
-    total_duration: float,
-    min_duration: float = PAUSE_MIN_DURATION_S,
-    speech_floor_drop_db: float = SPEECH_FLOOR_DROP_DB,
+    track: FrameTrack, total_duration: float, cfg: RunConfig | None = None
 ) -> list[PauseSegment]:
-    """Maximal non-voice stretches of at least min_duration seconds.
+    """Maximal non-voice stretches of at least cfg.pause_min_duration seconds.
 
     A frame is non-voice when it is unvoiced and its energy sits more than
-    speech_floor_drop_db below the median voiced energy. With no voiced
+    cfg.speech_floor_drop_db below the median voiced energy. With no voiced
     frames at all, every unvoiced frame qualifies. Leading and trailing
     stretches count; the last run extends to the clip end.
     """
+    cfg = cfg or RunConfig()
     n = track.n_frames
     if n == 0:
         return []
     voiced = track.voiced
     if voiced.any():
-        floor = float(np.median(track.energy_db[voiced])) - speech_floor_drop_db
+        floor = float(np.median(track.energy_db[voiced])) - cfg.speech_floor_drop_db
         quiet = (~voiced) & (track.energy_db < floor)
     else:
         quiet = ~voiced
@@ -292,7 +278,7 @@ def detect_pauses(
         if b == n - 1:
             end = total_duration
         end = min(end, total_duration)
-        if end - start >= min_duration:
+        if end - start >= cfg.pause_min_duration:
             pauses.append(PauseSegment(start=start, end=end))
     return pauses
 
@@ -305,28 +291,9 @@ def segment_clip(clip: AudioClip, config: RunConfig | None = None) -> Segmentati
     against the duration floor after trimming.
     """
     cfg = config or RunConfig()
-    track = analyze_frames(
-        clip,
-        frame_length=cfg.frame_length,
-        hop=cfg.frame_hop,
-        f0_floor=cfg.f0_floor,
-        f0_ceiling=cfg.f0_ceiling,
-        voicing_threshold=cfg.voicing_threshold,
-    )
-    vowels = select_stressed(
-        detect_vowels(
-            track,
-            nucleus_drop_db=cfg.nucleus_drop_db,
-            min_duration=cfg.min_vowel_duration,
-            min_separation=cfg.min_nucleus_separation,
-        )
-    )
-    raw_pauses = detect_pauses(
-        track,
-        clip.duration,
-        min_duration=cfg.pause_min_duration,
-        speech_floor_drop_db=cfg.speech_floor_drop_db,
-    )
+    track = analyze_frames(clip, cfg)
+    vowels = select_stressed(detect_vowels(track, cfg))
+    raw_pauses = detect_pauses(track, clip.duration, cfg)
     return SegmentationResult(
         vowels=tuple(vowels),
         pauses=tuple(_trim_pauses(raw_pauses, vowels, cfg.pause_min_duration)),

@@ -8,7 +8,6 @@ significant at .05).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,8 @@ from scipy.special import ndtr
 from scipy.stats import rankdata
 from scipy.stats import t as t_dist
 
-from .csvio import read_csv
+from .config import RunConfig
+from .csvio import read_csv, write_csv
 from .errors import (
     AllZeroDifferencesError,
     InputError,
@@ -58,7 +58,7 @@ def _paired_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
     return xa[keep], xb[keep]
 
 
-def paired_t_test(a, b, alpha: float = 0.05) -> PairedTestResult:
+def paired_t_test(a, b, alpha: float = max(RunConfig.alphas)) -> PairedTestResult:
     """Two-sided paired t-test on differences d = b - a.
 
     t = mean(d) / (sd(d) / sqrt(n)) with the sample sd, p from Student's t
@@ -111,7 +111,7 @@ def exact_signed_rank_p(ranks: np.ndarray, w_plus: float) -> float:
     return float(tail / 2.0 ** len(doubled))
 
 
-def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> PairedTestResult:
+def wilcoxon_signed_rank(a, b, alpha: float = max(RunConfig.alphas)) -> PairedTestResult:
     """Two-sided Wilcoxon signed-rank test on differences d = b - a.
 
     Zero differences are dropped; ties in |d| get average ranks. The
@@ -187,7 +187,7 @@ def _tier(p: float, alphas: tuple[float, float]) -> str:
 def significance_matrix(
     table: FeatureTable,
     test: str,
-    alphas: tuple[float, float] = (0.01, 0.05),
+    alphas: tuple[float, float] = RunConfig.alphas,
 ) -> SignificanceMatrix:
     """Run one paired test per feature and session transition.
 
@@ -286,14 +286,13 @@ def cosine_similarity(u: TransitionVector, v: TransitionVector) -> float:
 
 def write_matrix_csv(path: str, matrix: SignificanceMatrix) -> None:
     """feature,transition,test,direction,tier rows in canonical order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "transition", "test", "direction", "tier"])
-        for feature in matrix.features:
-            for transition in TRANSITIONS:
-                for test in matrix.tests:
-                    cell = matrix.cell(feature, transition, test)
-                    writer.writerow([feature, transition, test, cell.direction, cell.tier])
+    rows = []
+    for feature in matrix.features:
+        for transition in TRANSITIONS:
+            for test in matrix.tests:
+                cell = matrix.cell(feature, transition, test)
+                rows.append([feature, transition, test, cell.direction, cell.tier])
+    write_csv(path, ["feature", "transition", "test", "direction", "tier"], rows)
 
 
 def read_matrix_csv(path: str) -> SignificanceMatrix:

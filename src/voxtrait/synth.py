@@ -18,7 +18,6 @@ Everything draws from seeded generators keyed as [seed, speaker] and
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -28,6 +27,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .audio_io import write_wav
+from .config import RunConfig
+from .csvio import write_csv
 from .features import SESSIONS
 from .regression import DV_NAMES, RatingTable, write_ratings_csv
 
@@ -234,8 +235,8 @@ def _sa_rating(base_sign: int, attitude: float, noise: float) -> int:
 def generate_corpus(
     out_dir: str,
     n_speakers: int = 20,
-    seed: int = 42,
-    sample_rate: int = 11025,
+    seed: int = RunConfig.seed,
+    sample_rate: int = RunConfig.sample_rate,
 ) -> CorpusPaths:
     """Write WAVs plus manifest, ratings and ground-truth latent CSVs."""
     wav_dir = os.path.join(out_dir, "wav")
@@ -279,31 +280,21 @@ def generate_corpus(
             )
 
     manifest_path = os.path.join(out_dir, "manifest.csv")
-    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "speaker_id", "session"])
-        writer.writerows(manifest_rows)
+    write_csv(manifest_path, ["path", "speaker_id", "session"], manifest_rows)
 
     ratings_path = os.path.join(out_dir, "ratings.csv")
     write_ratings_csv(ratings_path, ratings)
 
     latents_path = os.path.join(out_dir, "latents.csv")
-    with open(latents_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["speaker_id", "session", "attitude", "psr_target", "f0_base", "tract_scale"]
-        )
-        for t in truths:
-            writer.writerow(
-                [
-                    t.speaker_id,
-                    t.session,
-                    repr(t.attitude),
-                    repr(t.psr_target),
-                    repr(t.f0_base),
-                    repr(t.tract_scale),
-                ]
-            )
+    write_csv(
+        latents_path,
+        ["speaker_id", "session", "attitude", "psr_target", "f0_base", "tract_scale"],
+        (
+            [t.speaker_id, t.session]
+            + [repr(v) for v in (t.attitude, t.psr_target, t.f0_base, t.tract_scale)]
+            for t in truths
+        ),
+    )
 
     return CorpusPaths(
         root=out_dir,

@@ -28,6 +28,7 @@ from voxtrait.regression import (
     RegressionModel,
     StabilityReport,
     Standardization,
+    Thresholds,
     _pearson,
     decide_stable,
 )
@@ -783,7 +784,10 @@ def loocv_stability(
         r_loocv=r_loocv,
         r_overall=overall.train_r,
         stable=decide_stable(
-            fraction, r_loocv, overall.train_r, min_identical_fraction, min_r_ratio
+            fraction,
+            r_loocv,
+            overall.train_r,
+            Thresholds(min_identical_fraction=min_identical_fraction, min_r_ratio=min_r_ratio),
         ),
     )
 

@@ -39,6 +39,7 @@ from voxtrait.audio_io import load_wav, resample
 from voxtrait.features import FEATURE_NAMES, FeatureTable, extract_features
 from voxtrait.models import get_model, registry, score
 from voxtrait.regression import (
+    Thresholds,
     cross_session_eval,
     loocv_stability,
     read_ratings_csv,
@@ -236,7 +237,7 @@ def _fit_columns(X: np.ndarray, y: np.ndarray, entry_p: float):
     sy = zscore_fit(y[:, None], ("rating",))
     zy = sy.apply(y[:, None])[:, 0]
     model = stepwise_fit(sx.apply(X), zy, FEATURE_NAMES, entry_p=entry_p)
-    report = loocv_stability(X, y, FEATURE_NAMES, model, entry_p=entry_p)
+    report = loocv_stability(X, y, FEATURE_NAMES, model, Thresholds(entry_p=entry_p))
     return model, report
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -124,6 +125,24 @@ def test_extract_unexpected_error_fails_one_row(corpus, tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert f"warning: {wavs[1]}: ZeroDivisionError: boom" in err
     assert "in segment_or_fail" in err  # the traceback, from a worker too
+
+
+def test_run_config_reaches_pool_workers_whole(corpus, tmp_path, capsys):
+    # extract hands each worker the frozen RunConfig itself, pickled
+    cfg = RunConfig(alphas=(0.05, 0.001), pause_min_duration=0.9)
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg and back.alphas == (0.001, 0.05)
+    wavs = [os.path.join(corpus.wav_dir, name) for name in sorted(os.listdir(corpus.wav_dir))[:2]]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"path,speaker_id,session\n{wavs[0]},sp01,S1\n{wavs[1]},sp02,S1\n")
+    tables = {}
+    for jobs, floor in (("1", "0.9"), ("2", "0.9"), ("2", "0.4")):
+        out = tmp_path / f"f{jobs}_{floor}.csv"
+        argv = ["extract", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs]
+        assert main([*argv, "--pause-min-duration", floor]) == 0
+        tables[jobs, floor] = out.read_bytes()
+    assert tables["2", "0.9"] == tables["1", "0.9"]
+    assert tables["2", "0.9"] != tables["2", "0.4"]  # the workers read the 0.9 s floor
 
 
 # each config flag with a value away from its default

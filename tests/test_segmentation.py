@@ -14,7 +14,6 @@ from voxtrait.config import RunConfig
 from voxtrait.errors import ClipTooShortError, InputError
 from voxtrait.segmentation import (
     FRAME_BLOCK,
-    PAUSE_MIN_DURATION_S,
     FrameTrack,
     PauseSegment,
     VowelSegment,
@@ -107,8 +106,10 @@ def test_frame_track_geometry():
 def test_clip_too_short_for_one_frame():
     with pytest.raises(ClipTooShortError):
         analyze_frames(AudioClip(np.zeros(100), RATE))
-    with pytest.raises(InputError):
-        analyze_frames(AudioClip(np.zeros(1000), RATE), frame_length=0.01, hop=0.02)
+    # RunConfig rejects a hop longer than its frame, but the clip's own rate
+    # sets the samples: at 40 Hz a 1 ms hop rounds to no sample at all
+    with pytest.raises(InputError, match="bad frame geometry"):
+        analyze_frames(AudioClip(np.zeros(1000), 40), RunConfig(frame_hop=0.001))
 
 
 def test_frame_too_short_for_the_pitch_range():
@@ -116,15 +117,17 @@ def test_frame_too_short_for_the_pitch_range():
     # needs the lowest pitch lag (ceil(11025 / 500) = 23) plus 8 samples
     shortest = acoustics.min_frame_samples(RATE, 75.0, 500.0)
     assert shortest == 31
-    clip = AudioClip(np.zeros(1000), RATE)
     for frame_length in (0.002, (shortest - 1) / RATE):
-        with pytest.raises(InputError, match="too short"):
-            analyze_frames(clip, frame_length=frame_length, hop=0.001)
         with pytest.raises(InputError, match="frame_length"):
             RunConfig(frame_length=frame_length, frame_hop=0.001)
-    track = analyze_frames(clip, frame_length=shortest / RATE, hop=0.001)
+    cfg = RunConfig(frame_length=shortest / RATE, frame_hop=0.001)
+    track = analyze_frames(AudioClip(np.zeros(1000), RATE), cfg)
     assert track.frame_length_samples == shortest
-    assert RunConfig(frame_length=shortest / RATE, frame_hop=0.001)
+    # the clip's own rate sets the samples: at 8000 Hz the same frame is 22
+    # samples, short of the ceil(8000 / 500) + 8 = 24 that rate needs
+    assert acoustics.min_frame_samples(8000, 75.0, 500.0) == 24
+    with pytest.raises(InputError, match="too short"):
+        analyze_frames(AudioClip(np.zeros(1000), 8000), cfg)
 
 
 def test_detect_vowels_needs_voiced_peaks():
@@ -158,8 +161,8 @@ def test_segment_validation():
 
 def test_detect_pauses_respects_min_duration():
     track = analyze_frames(AudioClip(np.zeros(RATE), RATE))
-    assert detect_pauses(track, 1.0, min_duration=2.0) == []
-    long_enough = detect_pauses(track, 1.0, min_duration=PAUSE_MIN_DURATION_S)
+    assert detect_pauses(track, 1.0, RunConfig(pause_min_duration=2.0)) == []
+    long_enough = detect_pauses(track, 1.0, RunConfig())
     assert len(long_enough) == 1
 
 
@@ -237,7 +240,12 @@ def test_detect_vowels_matches_all_pairs_spacing_check(case):
     track, sep_frames, drop_db = case
     hop = track.hop
     got = detect_vowels(
-        track, nucleus_drop_db=drop_db, min_duration=0.0, min_separation=sep_frames * hop
+        track,
+        RunConfig(
+            nucleus_drop_db=drop_db,
+            min_vowel_duration=0.0,
+            min_nucleus_separation=sep_frames * hop,
+        ),
     )
     spans = vowel_spans_reference(track.energy_db, track.voiced, sep_frames, drop_db)
     want = sorted((a * hop, (b + 1) * hop) for a, b in spans)
