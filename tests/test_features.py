@@ -1,7 +1,9 @@
 """Descriptor bookkeeping: vectors, tables, temporal math, CSV format."""
 
+import hashlib
 import math
 import os
+import wave
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from voxtrait.segmentation import (
     VowelSegment,
     segment_clip,
 )
-from voxtrait.synth import synthesize_vowel
+from voxtrait.synth import generate_corpus, synthesize_vowel
 
 from oracles import extract_features_reference
 
@@ -188,6 +190,38 @@ def test_corpus_extraction_fills_every_descriptor(extracted):
     for row in table.rows:
         missing = [n for n in FEATURE_NAMES if not row.features.present(n)]
         assert missing == [], f"{row.speaker_id}/{row.session} lacks {missing}"
+
+
+# sha256 of the 30 descriptor reprs, comma-joined, of 30 s of the seed-7
+# one-speaker corpus tiled and written as 44.1 kHz 16-bit stereo: the path
+# of a recorder's WAV through decode, mixdown, resampling, segmentation
+# and every per-vowel measure.
+STEREO_44K_DESCRIPTORS_SHA256 = "16cf1994da78cdd57ccebda9468f6fd7436ec01f9304c43b3d1d2d12f3f0e809"
+
+
+def test_44k_stereo_descriptors_are_pinned(tmp_path):
+    paths = generate_corpus(str(tmp_path / "corpus"), n_speakers=1, seed=7)
+    audio = np.concatenate(
+        [load_wav(os.path.join(paths.wav_dir, name)).samples
+         for name in sorted(os.listdir(paths.wav_dir))]
+    )
+    n = 30 * 11025
+    tiled = np.tile(audio, -(-n // audio.size))[:n]
+    left = resample(AudioClip(tiled, 11025), 44100).samples
+    right = np.roll(left, 3)
+    pcm = np.round(np.stack((left, right), axis=1) * 32767.0).astype("<i2")
+    path = str(tmp_path / "stereo.wav")
+    with wave.open(path, "wb") as wf:
+        wf.setnchannels(2)
+        wf.setsampwidth(2)
+        wf.setframerate(44100)
+        wf.writeframes(pcm.tobytes())
+
+    clip = resample(load_wav(path))
+    cfg = RunConfig()
+    fv = extract_features(clip, cfg, segment_clip(clip, cfg))
+    text = ",".join(repr(fv[name]) for name in FEATURE_NAMES)
+    assert hashlib.sha256(text.encode()).hexdigest() == STEREO_44K_DESCRIPTORS_SHA256
 
 
 def test_csv_round_trip_with_absent_cells(tmp_path):
