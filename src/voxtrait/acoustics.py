@@ -4,8 +4,10 @@ Low-level operations shared by segmentation and feature extraction: frame
 energy, normalized-autocorrelation voicing and F0, cycle marking with
 jitter/shimmer, harmonicity, LPC formants and mel cepstra. One
 normalized-autocorrelation kernel, `ncc_frames`, serves segmentation's
-frame voicing (a block of frames per call) and the F0 and HNR measures
-(one window per call, through `ncc_curve`).
+frame voicing and the pitch tracker `f0_frames`, each a block of frames
+per call; `features.measure_vowels` hands `f0_frames` the F0 subframes of
+every stressed vowel of a clip together. HNR takes one window per call,
+through `ncc_curve`.
 
 All functions take plain sample arrays; the 80 ms prosody / 40 ms spectral
 window slicing is done by the callers in `features`.
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, irfft, rfft
 
 from .errors import InputError
@@ -170,31 +173,46 @@ def _parabolic(y0: float, y1: float, y2: float) -> tuple[float, float] | None:
     return delta, y1 - 0.25 * (y0 - y2) * delta
 
 
+def _pick_peaks(curves: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best lag (parabolic-refined) and its strength within [lo, hi], per row.
+
+    curves is a (rows, lags) block of NCC curves and lo >= 1. A row's best
+    lag is its argmax over [lo, hi], or the shortest local maximum before it
+    within _OCTAVE_MARGIN of its value. Rows too short to reach lo give 0, 0.
+    """
+    rows, size = curves.shape
+    hi = min(hi, size - 1)
+    if hi < lo:
+        return np.zeros(rows), np.zeros(rows)
+    row = np.arange(rows)
+    best = np.argmax(curves[:, lo : hi + 1], axis=1) + lo
+    strength = curves[row, best]
+    if hi > lo:
+        inner = curves[:, lo:hi]
+        ok = (
+            (inner >= (strength - _OCTAVE_MARGIN)[:, None])
+            & (inner >= curves[:, lo - 1 : hi - 1])
+            & (inner >= curves[:, lo + 1 : hi + 1])
+            & (np.arange(lo, hi) < best[:, None])
+        )
+        hit = ok.any(axis=1)
+        best[hit] = lo + np.argmax(ok[hit], axis=1)
+        strength = curves[row, best]
+    lag = best.astype(np.float64)
+    # parabolic refinement at interior peaks, the arithmetic of _parabolic
+    mid = np.flatnonzero((best > lo) & (best < hi))
+    y0, y1, y2 = (curves[mid, best[mid] + k] for k in (-1, 0, 1))
+    denom = y0 - 2.0 * y1 + y2
+    vertex = (np.abs(denom) > _TINY) & (y1 >= y0) & (y1 >= y2)
+    mid, y0, y2, denom = mid[vertex], y0[vertex], y2[vertex], denom[vertex]
+    lag[mid] += np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5)
+    return lag, strength
+
+
 def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
     """Best lag (parabolic-refined) and its strength within [lo, hi]."""
-    hi = min(hi, curve.size - 1)
-    if hi < lo:
-        return 0.0, 0.0
-    seg = curve[lo : hi + 1]
-    best = int(np.argmax(seg)) + lo
-    strength = float(curve[best])
-    if best > lo:
-        inner = curve[lo:best]
-        ok = (
-            (inner >= strength - _OCTAVE_MARGIN)
-            & (inner >= curve[lo - 1 : best - 1])
-            & (inner >= curve[lo + 1 : best + 1])
-        )
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            best = lo + int(hits[0])
-            strength = float(curve[best])
-    lag = float(best)
-    if lo < best < hi:
-        vertex = _parabolic(curve[best - 1], curve[best], curve[best + 1])
-        if vertex is not None:
-            lag += vertex[0]
-    return lag, strength
+    lag, strength = _pick_peaks(curve[None, :], lo, hi)
+    return float(lag[0]), float(strength[0])
 
 
 def pitch_lags(sample_rate: int, f0_floor: float, f0_ceiling: float) -> tuple[int, int]:
@@ -211,6 +229,37 @@ def min_frame_samples(sample_rate: int, f0_floor: float, f0_ceiling: float) -> i
     return pitch_lags(sample_rate, f0_floor, f0_ceiling)[0] + _MIN_OVERLAP
 
 
+def f0_frames(
+    frames: np.ndarray,
+    sample_rate: int,
+    f0_floor: float = F0_FLOOR_HZ,
+    f0_ceiling: float = F0_CEILING_HZ,
+    voicing_threshold: float = VOICING_THRESHOLD,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f0, strength) of each row of a (rows, n) block of analysis frames.
+
+    One ncc_frames call over the block, then one peak pick per row. f0 is
+    NaN where a row is unvoiced; strength is the row's best normalized
+    autocorrelation in the admissible lag range. Rows come out equal to
+    f0_once of each row alone.
+    """
+    lo, hi = pitch_lags(sample_rate, f0_floor, f0_ceiling)
+    x = np.asarray(frames, dtype=np.float64)
+    if x.shape[1] - _MIN_OVERLAP >= lo:
+        curves = ncc_frames(x, hi)
+    else:  # no admissible lag has enough overlap
+        curves = np.zeros((x.shape[0], 0))
+    lag, strength = _pick_peaks(curves, lo, hi)
+    unvoiced = (strength < voicing_threshold) | (lag <= 0)
+    f0 = np.divide(sample_rate, lag, out=np.full(lag.shape, np.nan), where=~unvoiced)
+    return np.clip(f0, f0_floor, f0_ceiling, out=f0), strength
+
+
+def f0_track(f0: np.ndarray) -> tuple[float | None, ...]:
+    """A row of f0_frames output as a track: float F0s, None where unvoiced."""
+    return tuple(None if math.isnan(v) else v for v in f0.tolist())
+
+
 def f0_once(
     samples: np.ndarray,
     sample_rate: int,
@@ -223,13 +272,9 @@ def f0_once(
     Returns (f0, strength) where strength is the best normalized
     autocorrelation in the admissible lag range.
     """
-    lo, hi = pitch_lags(sample_rate, f0_floor, f0_ceiling)
-    curve = ncc_curve(samples, hi)
-    lag, strength = _pick_peak(curve, lo, hi)
-    if strength < voicing_threshold or lag <= 0:
-        return None, strength
-    f0 = sample_rate / lag
-    return _clamp(f0, f0_floor, f0_ceiling), strength
+    frame = np.asarray(samples, dtype=np.float64)[None, :]
+    f0, strength = f0_frames(frame, sample_rate, f0_floor, f0_ceiling, voicing_threshold)
+    return f0_track(f0)[0], float(strength[0])
 
 
 def subframe_grid(n_samples: int, sample_rate: int) -> tuple[int, int, int]:
@@ -250,16 +295,16 @@ def estimate_f0(
     """Per-subframe F0 across a window, None where unvoiced.
 
     The window is cut into 25 ms subframes every 10 ms; each is pitch-tracked
-    independently with the normalized autocorrelation method.
+    independently with the normalized autocorrelation method, all of them
+    in one f0_frames block.
     """
     x = np.asarray(samples, dtype=np.float64)
     flen, hop, count = subframe_grid(x.size, sample_rate)
-    track: list[float | None] = []
-    for i in range(count):
-        frame = x[i * hop : i * hop + flen]
-        f0, _ = f0_once(frame, sample_rate, f0_floor, f0_ceiling, voicing_threshold)
-        track.append(f0)
-    return track
+    if count == 0:
+        return []
+    frames = sliding_window_view(x, flen)[::hop]
+    f0, _ = f0_frames(frames, sample_rate, f0_floor, f0_ceiling, voicing_threshold)
+    return list(f0_track(f0))
 
 
 def mark_cycles(

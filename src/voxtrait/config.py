@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -47,6 +48,7 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        self._check_types()
         if self.sample_rate <= 0:
             raise InputError("sample_rate must be positive")
         if not 0 < self.f0_floor < self.f0_ceiling:
@@ -82,10 +84,31 @@ class RunConfig:
         if self.jobs < 1:
             raise InputError("jobs must be >= 1")
 
+    def _check_types(self) -> None:
+        # A JSON config can hand any value to any field: an int field takes
+        # an integer, alphas two numbers and every other field a number,
+        # never a bool, a string or null.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "alphas":
+                ok = isinstance(value, (list, tuple)) and len(value) == 2
+                ok = ok and all(_is_number(a, numbers.Real) for a in value)
+                kind = "a list of two numbers"
+            elif f.type == "int":
+                ok, kind = _is_number(value, numbers.Integral), "an integer"
+            else:
+                ok, kind = _is_number(value, numbers.Real), "a number"
+            if not ok:
+                raise InputError(f"{f.name} must be {kind}, got {value!r}")
+
     def to_dict(self) -> dict[str, Any]:
         d = dataclasses.asdict(self)
         d["alphas"] = list(self.alphas)
         return d
+
+
+def _is_number(value: Any, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_config(path: str | None, **overrides: Any) -> RunConfig:

@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import acoustics
 from .audio_io import AudioClip
 from .config import RunConfig
 from .csvio import finite, read_csv, write_csv
 from .errors import DuplicateKeyError, InputError
-from .segmentation import SegmentationResult, segment_clip
+from .segmentation import FRAME_BLOCK, SegmentationResult, segment_clip
 
 FEATURE_NAMES: tuple[str, ...] = (
     "spkrate",
@@ -163,11 +164,36 @@ def _mean_or_none(values: list[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
-def _window(x: np.ndarray, rate: int, center: float, length_s: float) -> np.ndarray:
+def _span(size: int, rate: int, center: float, length_s: float) -> tuple[int, int]:
+    """[lo, hi) of the length_s window centered on center, cut at the clip edges."""
     n = int(round(length_s * rate))
     lo = max(int(round(center * rate)) - n // 2, 0)
-    hi = min(lo + n, x.size)
-    return x[lo:hi]
+    return lo, min(lo + n, size)
+
+
+def _f0_tracks(x: np.ndarray, rate: int, spans: list[tuple[int, int]], cfg: RunConfig):
+    """Yield the estimate_f0 track of each x[lo:hi] span.
+
+    The subframes of every span are gathered from one strided view of the
+    clip and pitch-tracked FRAME_BLOCK rows per f0_frames call, so the NCC
+    working memory stays that of one block however long the clip is.
+    """
+    flen, hop, _ = acoustics.subframe_grid(0, rate)
+    counts = [acoustics.subframe_grid(hi - lo, rate)[2] for lo, hi in spans]
+    starts = np.array(
+        [lo + hop * i for (lo, _), count in zip(spans, counts) for i in range(count)], np.intp
+    )
+    f0 = np.empty(starts.size)
+    if starts.size:
+        frames = sliding_window_view(x, flen)
+        for a in range(0, starts.size, FRAME_BLOCK):
+            block = frames[starts[a : a + FRAME_BLOCK]]
+            f0[a : a + FRAME_BLOCK], _ = acoustics.f0_frames(
+                block, rate, cfg.f0_floor, cfg.f0_ceiling, cfg.voicing_threshold
+            )
+    for count in counts:
+        yield acoustics.f0_track(f0[:count])
+        f0 = f0[count:]
 
 
 def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> Iterator[tuple]:
@@ -177,29 +203,31 @@ def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> 
     Prosody and voice quality are measured over a prosody_window centered on
     the vowel, spectral measures over a spectral_window. A result is None
     when the clip edge cuts its window below one frame (prosody, quality)
-    or below the full window (spectral).
+    or below the full window (spectral). The F0 subframes of all prosody
+    windows are pitch-tracked together, in blocks over the whole clip; each
+    ProsodyWindow equals analyze_prosody_window of its window.
     """
     x = clip.samples
     rate = clip.sample_rate
     flen_min = int(round(cfg.frame_length * rate))
     spectral_len = int(round(cfg.spectral_window * rate))
-    for vowel in seg.stressed:
+    stressed = seg.stressed
+    spans = [_span(x.size, rate, v.center, cfg.prosody_window) for v in stressed]
+    # a window cut below one frame is not measured: it keeps an empty span
+    spans = [(lo, hi) if hi - lo >= flen_min else (lo, lo) for lo, hi in spans]
+    for vowel, (lo, hi), track in zip(stressed, spans, _f0_tracks(x, rate, spans, cfg)):
         prosody = quality = spectral = None
-        pros_samples = _window(x, rate, vowel.center, cfg.prosody_window)
-        if pros_samples.size >= flen_min:
-            prosody = acoustics.analyze_prosody_window(
-                pros_samples,
-                rate,
-                vowel.center,
-                f0_floor=cfg.f0_floor,
-                f0_ceiling=cfg.f0_ceiling,
-                voicing_threshold=cfg.voicing_threshold,
+        if hi > lo:
+            pros_samples = x[lo:hi]
+            prosody = acoustics.ProsodyWindow(
+                vowel.center, track, acoustics.intensity_db(pros_samples)
             )
             voiced = prosody.voiced_f0
             f0_med = float(np.median(voiced)) if voiced else None
             quality = acoustics.analyze_quality_window(pros_samples, rate, vowel.center, f0_med)
-        spec_samples = _window(x, rate, vowel.center, cfg.spectral_window)
-        if spec_samples.size >= spectral_len:
+        spec_lo, spec_hi = _span(x.size, rate, vowel.center, cfg.spectral_window)
+        if spec_hi - spec_lo >= spectral_len:
+            spec_samples = x[spec_lo:spec_hi]
             spectral = acoustics.analyze_spectral_window(spec_samples, rate, vowel.center)
         yield vowel, prosody, quality, spectral
 

@@ -742,7 +742,8 @@ def load_model(path: str) -> RegressionModel:
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        stability = doc.get("stability")
+        stability = _json_object(doc, "a model file").get("stability")
+        standardization = _json_object(doc.get("standardization", {}), "standardization")
         return RegressionModel(
             predictors=tuple(p["name"] for p in doc["predictors"]),
             betas=tuple(float(p["beta"]) for p in doc["predictors"]),
@@ -753,7 +754,7 @@ def load_model(path: str) -> RegressionModel:
             intercept=float(doc.get("intercept", 0.0)),
             standardization={
                 name: (float(v["mean"]), float(v["std"]))
-                for name, v in doc.get("standardization", {}).items()
+                for name, v in standardization.items()
             },
             thresholds=_from_json(Thresholds, doc.get("thresholds", {})),
             stability=None if stability is None else _from_json(StabilityReport, stability),
@@ -764,12 +765,17 @@ def load_model(path: str) -> RegressionModel:
         raise TableFormatError(f"{path}: malformed model file: {exc}") from exc
 
 
+def _json_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be a JSON object")
+    return obj
+
+
 def _from_json(cls, obj: dict):
     """The dataclass cls from a JSON object, each field cast to its annotated type.
 
     A key left out takes the field's default; a field without one is required.
     """
-    if not isinstance(obj, dict):
-        raise TypeError(f"{cls.__name__} must be a JSON object")
+    _json_object(obj, cls.__name__)
     types = get_type_hints(cls)
     return cls(**{f.name: types[f.name](obj[f.name]) for f in fields(cls) if f.name in obj})

@@ -22,8 +22,9 @@ from .audio_io import AudioClip
 from .config import RunConfig
 from .errors import ClipTooShortError, InputError
 
-# Frames scored per block by analyze_frames. At the default 276-sample
-# frames and 512-point FFT a block's working arrays take about 20 MB.
+# Frames per NCC block of analyze_frames, and F0 subframes per block of
+# features.measure_vowels. At the default 276-sample frames and 512-point
+# FFT a block's working arrays take about 20 MB.
 FRAME_BLOCK = 1024
 
 

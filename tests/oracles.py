@@ -20,7 +20,16 @@ from scipy.signal import lfilter
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
-from voxtrait.acoustics import _MIN_OVERLAP, _OCTAVE_MARGIN, _TINY
+from voxtrait.acoustics import (
+    _MIN_OVERLAP,
+    _OCTAVE_MARGIN,
+    _TINY,
+    F0_CEILING_HZ,
+    F0_FLOOR_HZ,
+    VOICING_THRESHOLD,
+    pitch_lags,
+    subframe_grid,
+)
 from voxtrait.errors import ConstantColumnError, InputError, InsufficientDataError, StatsError
 from voxtrait.features import FEATURE_NAMES, FeatureTable
 from voxtrait.regression import (
@@ -1011,6 +1020,34 @@ def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
         if vertex is not None:
             lag += vertex[0]
     return lag, strength
+
+
+def estimate_f0(
+    samples: np.ndarray,
+    sample_rate: int,
+    f0_floor: float = F0_FLOOR_HZ,
+    f0_ceiling: float = F0_CEILING_HZ,
+    voicing_threshold: float = VOICING_THRESHOLD,
+) -> list[float | None]:
+    """Per-subframe F0 of a window, one subframe at a time: the loop of
+    f0_once calls (one NCC curve and one peak pick each) that
+    `acoustics.estimate_f0` ran before `f0_frames` took a block per call."""
+    x = np.asarray(samples, dtype=np.float64)
+    lo, hi = pitch_lags(sample_rate, f0_floor, f0_ceiling)
+    flen, hop, count = subframe_grid(x.size, sample_rate)
+    track: list[float | None] = []
+    for i in range(count):
+        frame = x[i * hop : i * hop + flen]
+        if min(hi, frame.size - _MIN_OVERLAP) < 1:
+            curve = np.zeros(1)
+        else:
+            curve = ncc_frames(frame, hi)
+        lag, strength = _pick_peak(curve, lo, hi)
+        if strength < voicing_threshold or lag <= 0:
+            track.append(None)
+        else:
+            track.append(float(min(max(sample_rate / lag, f0_floor), f0_ceiling)))
+    return track
 
 
 def _ppq5(values: np.ndarray) -> float | None:

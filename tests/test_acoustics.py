@@ -19,10 +19,13 @@ from voxtrait.acoustics import (
     _parabolic,
     _hz_to_mel,
     _pick_peak,
+    _pick_peaks,
     _ppq5,
     _mel_to_hz,
     estimate_f0,
+    f0_frames,
     f0_once,
+    f0_track,
     harmonicity_db,
     intensity_db,
     jitter_shimmer,
@@ -377,19 +380,43 @@ def _windows(seed: int, rows: int | None, n: int, zeros: str) -> np.ndarray:
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    rows=st.sampled_from([None, 1, 7, 64, 65]),
+    rows=st.sampled_from([None, 0, 1, 7, 64, 65]),
     n=st.integers(9, 300),
     max_lag=st.integers(1, 320),
     zeros=st.sampled_from(["none", "head", "tail", "rows"]),
 )
 def test_ncc_frames_and_pick_peak_equal_the_reference_copy(seed, rows, n, max_lag, zeros):
+    # curves run shorter than lo = 23 when n or max_lag is small, and the
+    # last hi lies past the curve end
     x = _windows(seed, rows, n, zeros)
     curves = ncc_frames(x, max_lag)
     assert np.array_equal(curves, oracles.ncc_frames(x, max_lag))
-    for curve in np.atleast_2d(curves):
-        for lo in (2, 3, 23):
-            for hi in (lo + 1, 147, curve.size + 3):
-                assert _pick_peak(curve, lo, hi) == oracles._pick_peak(curve, lo, hi)
+    block = np.atleast_2d(curves)
+    for lo in (2, 3, 23):
+        for hi in (lo + 1, 147, block.shape[1] + 3):
+            want = [oracles._pick_peak(curve, lo, hi) for curve in block]
+            lags, strengths = _pick_peaks(block, lo, hi)
+            assert list(zip(lags.tolist(), strengths.tolist())) == want
+            assert [_pick_peak(curve, lo, hi) for curve in block] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 1500),
+    zeros=st.sampled_from(["none", "head", "tail"]),
+    rate=st.sampled_from([RATE, 8000, 16000]),
+)
+def test_estimate_f0_equals_the_subframe_loop(seed, n, zeros, rate):
+    x = _windows(seed, None, n, zeros)
+    assert estimate_f0(x, rate) == oracles.estimate_f0(x, rate)
+    # the rows of one f0_frames block equal f0_once of each row alone
+    flen, hop, count = subframe_grid(n, rate)
+    frames = [x[i * hop : i * hop + flen] for i in range(count)]
+    if frames:
+        f0, strength = f0_frames(np.stack(frames), rate)
+        want = list(zip(f0_track(f0), strength.tolist()))
+        assert [f0_once(frame, rate) for frame in frames] == want
 
 
 @settings(max_examples=300, deadline=None)

@@ -207,6 +207,18 @@ def test_transition_similarity_published(capsys):
         float(line.split("=")[1])  # parsable value
 
 
+@pytest.mark.parametrize(
+    "doc", [{"alphas": 0.05}, {"sample_rate": "x"}, {"seed": True}, {"alphas": [0.01, "x"]}]
+)
+def test_config_value_of_the_wrong_type_is_an_input_error(tmp_path, capsys, doc):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["transition-similarity", "--published", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(doc)) in err
+    assert "Traceback" not in err
+
+
 def test_transition_similarity_needs_a_matrix(capsys):
     assert main(["transition-similarity"]) == 2
     assert "error:" in capsys.readouterr().err

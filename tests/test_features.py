@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 import wave
 
 import numpy as np
@@ -24,6 +25,7 @@ from voxtrait.features import (
     write_table_csv,
 )
 from voxtrait.segmentation import (
+    FRAME_BLOCK,
     PauseSegment,
     SegmentationResult,
     VowelSegment,
@@ -129,11 +131,29 @@ def _corpus_clips(corpus, every=3):
         yield resample(load_wav(os.path.join(corpus.wav_dir, name)))
 
 
+def _assert_prosody_windows_are_per_window(clip, seg, cfg):
+    x, rate = clip.samples, clip.sample_rate
+    n = int(round(cfg.prosody_window * rate))
+    measured = list(measure_vowels(clip, seg, cfg))
+    assert [m[0] for m in measured] == list(seg.stressed)
+    for vowel, prosody, _, _ in measured:
+        lo = max(int(round(vowel.center * rate)) - n // 2, 0)
+        window = x[lo : lo + n]
+        if window.size < int(round(cfg.frame_length * rate)):
+            assert prosody is None
+        else:
+            assert prosody == acoustics.analyze_prosody_window(
+                window, rate, vowel.center, cfg.f0_floor, cfg.f0_ceiling, cfg.voicing_threshold
+            )
+    return measured
+
+
 def test_extract_features_equals_reference_loop(corpus):
     cfg = RunConfig()
     for clip in _corpus_clips(corpus):
         seg = segment_clip(clip, cfg)
         assert extract_features(clip, cfg, seg) == extract_features_reference(clip, cfg, seg)
+        _assert_prosody_windows_are_per_window(clip, seg, cfg)
 
 
 def test_measure_vowels_at_the_clip_edge(corpus):
@@ -150,11 +170,56 @@ def test_measure_vowels_at_the_clip_edge(corpus):
     assert measured[-2][1] is not None and measured[-2][3] is None
     assert measured[-1][1:] == (None, None, None)
     assert extract_features(short, cfg, seg) == extract_features_reference(short, cfg, seg)
+    _assert_prosody_windows_are_per_window(short, seg, cfg)
+
+
+@pytest.mark.parametrize("subframes", [FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1])
+def test_prosody_windows_across_block_boundaries(corpus, subframes):
+    # Stressed vowels every 50 ms, so prosody windows overlap, over a clip
+    # cut so that the last window keeps subframes % 6 of its six subframes:
+    # the clip's last subframe falls just before, at or just past the end of
+    # the first F0 block, and with FRAME_BLOCK + 1 a block splits a vowel.
+    cfg = RunConfig()
+    rate = cfg.sample_rate
+    audio = np.concatenate([clip.samples for clip in _corpus_clips(corpus, every=6)])
+    full, tail = divmod(subframes, 6)
+    flen, hop, _ = acoustics.subframe_grid(0, rate)
+    centers = [0.05 + 0.05 * i for i in range(full + 1)]
+    lo = int(round(centers[-1] * rate)) - int(round(cfg.prosody_window * rate)) // 2
+    x = audio[: lo + flen + hop * (tail - 1)]
+    seg = SegmentationResult(
+        tuple(VowelSegment(c - 0.01, c + 0.01, stressed=True) for c in centers),
+        (),
+        x.size / rate,
+    )
+    measured = _assert_prosody_windows_are_per_window(AudioClip(x, rate), seg, cfg)
+    assert sum(len(m[1].f0_track) for m in measured) == subframes
+    assert len(measured[-1][1].f0_track) == tail
+
+
+def test_measure_vowels_memory_does_not_grow_with_clip_length(corpus):
+    cfg = RunConfig()
+    audio = np.concatenate([clip.samples for clip in _corpus_clips(corpus, every=1)])
+
+    def peak(minutes: int) -> int:
+        n = minutes * 60 * cfg.sample_rate
+        clip = AudioClip(np.tile(audio, -(-n // audio.size))[:n], cfg.sample_rate)
+        seg = segment_clip(clip, cfg)
+        tracemalloc.start()
+        try:
+            for _ in measure_vowels(clip, seg, cfg):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) < 1.25 * peak(2)
 
 
 def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):
     # The benchmark fingerprint records acoustics.ncc_curve_calls: one call
-    # per 25 ms subframe of the 80 ms prosody window (6) plus one for HNR.
+    # per measured window, for HNR. The 25 ms subframes of the 80 ms prosody
+    # windows (6 each) go through ncc_frames as one block for the clip.
     rate = 11025
     rng = np.random.default_rng(4)
     silence = np.zeros(int(0.3 * rate))
@@ -167,13 +232,21 @@ def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):
     cfg = RunConfig()
     seg = segment_clip(clip, cfg)
     calls = []
+    blocks = []
     ncc_curve = acoustics.ncc_curve
+    ncc_frames = acoustics.ncc_frames
 
-    def counting(x, max_lag):
+    def counting_curve(x, max_lag):
         calls.append(max_lag)
         return ncc_curve(x, max_lag)
 
-    monkeypatch.setattr(acoustics, "ncc_curve", counting)
+    def counting_frames(frames, max_lag):
+        if np.ndim(frames) == 2:
+            blocks.append(len(frames))
+        return ncc_frames(frames, max_lag)
+
+    monkeypatch.setattr(acoustics, "ncc_curve", counting_curve)
+    monkeypatch.setattr(acoustics, "ncc_frames", counting_frames)
     measured = list(measure_vowels(clip, seg, cfg))
     flen, hop, subframes = acoustics.subframe_grid(
         int(round(cfg.prosody_window * rate)), rate
@@ -181,7 +254,8 @@ def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):
     assert subframes == 6
     assert len(measured) == math.ceil(len(seg.vowels) / 2) >= 2
     assert all(len(p.f0_track) == subframes and p.voiced_f0 for _, p, _, _ in measured)
-    assert len(calls) == 7 * len(measured)
+    assert len(calls) == len(measured)
+    assert blocks == [subframes * len(measured)]
 
 
 def test_corpus_extraction_fills_every_descriptor(extracted):

@@ -802,9 +802,11 @@ def test_model_json_round_trip(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(TableFormatError):
         load_model(str(bad))
-    bad.write_text('{"train_r": 0.5}')
-    with pytest.raises(TableFormatError):
-        load_model(str(bad))
+    not_objects = ("[]", "3", '"x"', "null", '{"train_r": 1, "standardization": []}')
+    for text in ('{"train_r": 0.5}', *not_objects):
+        bad.write_text(text)
+        with pytest.raises(TableFormatError):
+            load_model(str(bad))
     with pytest.raises(InputError):
         load_model(str(tmp_path / "absent.json"))
 
