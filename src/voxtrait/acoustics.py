@@ -6,7 +6,10 @@ jitter/shimmer, harmonicity, LPC formants and mel cepstra. One
 normalized-autocorrelation kernel, `ncc_frames`, serves segmentation's
 frame voicing and the pitch tracker `f0_frames`, each a block of frames
 per call; `features.measure_vowels` hands `f0_frames` the F0 subframes of
-every stressed vowel of a clip together. HNR takes one window per call,
+every stressed vowel of a clip together. Both size their blocks with
+`ncc_block_rows`, so that a block's working arrays fit NCC_BLOCK_BYTES
+(1 MiB, a quarter of the 4 MiB per-core L2 cache of the machine it was
+tuned on) whatever the frame length. HNR takes one window per call,
 through `ncc_curve`.
 
 All functions take plain sample arrays; the 80 ms prosody / 40 ms spectral
@@ -44,6 +47,14 @@ HNR_MAX_DB = 40.0
 # Minimum sample overlap for a normalized autocorrelation value to count.
 _MIN_OVERLAP = 8
 _TINY = 1e-30
+# Bytes one ncc_frames block may take; see ncc_block_rows for what counts.
+# Tuned on a VM with 4 MiB of L2 cache per core, where budgets of 0.5 to
+# 2 MiB ran the benchmark about equally fast and 4 MiB slower. Blocks of
+# 1024 default frames (17 MB) overflowed the cache, and malloc mapped their
+# multi-MB arrays afresh for every block: about 127,000 minor page faults
+# per 10-min clip, against a few hundred at 1 MiB. 1 MiB leaves room in
+# smaller caches.
+NCC_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -118,8 +129,7 @@ def ncc_frames(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """
     x = np.asarray(frames, dtype=np.float64)
     n = x.shape[-1]
-    max_lag = min(max_lag, n - _MIN_OVERLAP)
-    nfft = 1 << int(n + max_lag).bit_length()
+    max_lag, nfft = _ncc_size(n, max_lag)
     spec = rfft(x, nfft)
     # spec * conj(spec) in that order at every size: numpy's complex multiply
     # is not bitwise commutative, and an inline `spec * np.conj(spec)` turns
@@ -139,6 +149,26 @@ def ncc_frames(frames: np.ndarray, max_lag: int) -> np.ndarray:
     np.divide(ac, denom, out=ac, where=live)
     ac[~live] = 0.0
     return np.clip(ac, -1.0, 1.0, out=ac)
+
+
+def _ncc_size(n: int, max_lag: int) -> tuple[int, int]:
+    """(max_lag, nfft) of ncc_frames on n-sample frames."""
+    max_lag = min(max_lag, n - _MIN_OVERLAP)
+    return max_lag, 1 << int(n + max_lag).bit_length()
+
+
+def ncc_block_rows(n: int, max_lag: int) -> int:
+    """Rows of n-sample frames per ncc_frames block within NCC_BLOCK_BYTES.
+
+    A row costs its complex spectrum and the power spectrum made from it
+    (16 bytes per each of nfft/2 + 1 bins), the real inverse transform
+    (8 * nfft bytes) and two float64 frame-length arrays, its squared
+    samples and their running sum: about 16.7 KB at the default 25 ms
+    frames (276 samples, nfft 512), so 62 rows per block. At least one.
+    """
+    _, nfft = _ncc_size(n, max_lag)
+    row_bytes = 32 * (nfft // 2 + 1) + 8 * nfft + 16 * n
+    return max(1, NCC_BLOCK_BYTES // row_bytes)
 
 
 def ncc_curve(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -481,6 +511,14 @@ def _levinson(r: np.ndarray, order: int) -> np.ndarray | None:
     return a
 
 
+@lru_cache(maxsize=8)
+def _hamming(n: int) -> np.ndarray:
+    """np.hamming(n), computed once per length and read-only."""
+    w = np.hamming(n)
+    w.flags.writeable = False
+    return w
+
+
 def lpc_formants(
     samples: np.ndarray,
     sample_rate: int,
@@ -501,7 +539,7 @@ def lpc_formants(
     empty = ((None, None, None), (None, None, None))
     if n <= order + 1:
         return empty
-    w = x * np.hamming(n)
+    w = x * _hamming(n)
     r = np.array([float(np.dot(w[: n - k], w[k:])) for k in range(order + 1)])
     if r[0] <= 0:
         return empty
@@ -572,7 +610,7 @@ def mfcc(
     x = preemphasize(samples)
     if x.size == 0:
         raise InputError("mfcc needs a non-empty window")
-    w = x * np.hamming(x.size)
+    w = x * _hamming(x.size)
     nfft = max(1 << int(x.size - 1).bit_length(), 64)
     power = np.abs(rfft(w, nfft)) ** 2
     fb = _mel_filterbank(sample_rate, nfft, n_filters)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Any
@@ -69,6 +70,14 @@ class RunConfig:
             )
         if self.spectral_window <= 0 or self.prosody_window < self.frame_length:
             raise InputError("analysis windows too short")
+        for name in (
+            "nucleus_drop_db",
+            "min_vowel_duration",
+            "min_nucleus_separation",
+            "speech_floor_drop_db",
+        ):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be >= 0")
         for name in ("entry_p", "removal_p"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -87,17 +96,17 @@ class RunConfig:
     def _check_types(self) -> None:
         # A JSON config can hand any value to any field: an int field takes
         # an integer, alphas two numbers and every other field a number,
-        # never a bool, a string or null.
+        # never a bool, a string, null, NaN or an infinity.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.name == "alphas":
                 ok = isinstance(value, (list, tuple)) and len(value) == 2
                 ok = ok and all(_is_number(a, numbers.Real) for a in value)
-                kind = "a list of two numbers"
+                kind = "a list of two finite numbers"
             elif f.type == "int":
                 ok, kind = _is_number(value, numbers.Integral), "an integer"
             else:
-                ok, kind = _is_number(value, numbers.Real), "a number"
+                ok, kind = _is_number(value, numbers.Real), "a finite number"
             if not ok:
                 raise InputError(f"{f.name} must be {kind}, got {value!r}")
 
@@ -108,7 +117,9 @@ class RunConfig:
 
 
 def _is_number(value: Any, kind: type) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 def load_config(path: str | None, **overrides: Any) -> RunConfig:

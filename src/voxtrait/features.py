@@ -32,7 +32,7 @@ from .audio_io import AudioClip
 from .config import RunConfig
 from .csvio import finite, read_csv, write_csv
 from .errors import DuplicateKeyError, InputError
-from .segmentation import FRAME_BLOCK, SegmentationResult, segment_clip
+from .segmentation import SegmentationResult, segment_clip
 
 FEATURE_NAMES: tuple[str, ...] = (
     "spkrate",
@@ -175,8 +175,10 @@ def _f0_tracks(x: np.ndarray, rate: int, spans: list[tuple[int, int]], cfg: RunC
     """Yield the estimate_f0 track of each x[lo:hi] span.
 
     The subframes of every span are gathered from one strided view of the
-    clip and pitch-tracked FRAME_BLOCK rows per f0_frames call, so the NCC
-    working memory stays that of one block however long the clip is.
+    clip and pitch-tracked acoustics.ncc_block_rows rows per f0_frames call
+    (62 of the 25 ms subframes), so the NCC working memory stays near
+    acoustics.NCC_BLOCK_BYTES, 1 MiB, however long the clip is; that budget
+    keeps a block inside the 4 MiB per-core L2 cache it was tuned on.
     """
     flen, hop, _ = acoustics.subframe_grid(0, rate)
     counts = [acoustics.subframe_grid(hi - lo, rate)[2] for lo, hi in spans]
@@ -186,9 +188,11 @@ def _f0_tracks(x: np.ndarray, rate: int, spans: list[tuple[int, int]], cfg: RunC
     f0 = np.empty(starts.size)
     if starts.size:
         frames = sliding_window_view(x, flen)
-        for a in range(0, starts.size, FRAME_BLOCK):
-            block = frames[starts[a : a + FRAME_BLOCK]]
-            f0[a : a + FRAME_BLOCK], _ = acoustics.f0_frames(
+        _, max_lag = acoustics.pitch_lags(rate, cfg.f0_floor, cfg.f0_ceiling)
+        rows = acoustics.ncc_block_rows(flen, max_lag)
+        for a in range(0, starts.size, rows):
+            block = frames[starts[a : a + rows]]
+            f0[a : a + rows], _ = acoustics.f0_frames(
                 block, rate, cfg.f0_floor, cfg.f0_ceiling, cfg.voicing_threshold
             )
     for count in counts:

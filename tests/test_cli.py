@@ -10,6 +10,7 @@ import pytest
 
 from voxtrait.cli import main
 from voxtrait.config import RunConfig
+from voxtrait.errors import InputError
 from voxtrait.features import (
     FEATURE_NAMES,
     FeatureTable,
@@ -216,6 +217,33 @@ def test_config_value_of_the_wrong_type_is_an_input_error(tmp_path, capsys, doc)
     assert main(["transition-similarity", "--published", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and next(iter(doc)) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("prosody_window", float("nan")),
+        ("spectral_window", float("nan")),
+        ("speech_floor_drop_db", float("nan")),
+        ("min_nucleus_separation", float("inf")),
+        ("pause_min_duration", float("-inf")),
+        ("min_vowel_duration", -1.0),
+        ("nucleus_drop_db", -5.0),
+        ("speech_floor_drop_db", -1.0),
+        ("min_nucleus_separation", -0.06),
+    ],
+)
+def test_config_value_not_finite_or_out_of_range_is_an_input_error(
+    tmp_path, capsys, name, value
+):
+    with pytest.raises(InputError, match=name):
+        RunConfig(**{name: value})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({name: value}))  # NaN and Infinity, as json reads them
+    assert main(["transition-similarity", "--published", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
     assert "Traceback" not in err
 
 

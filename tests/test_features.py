@@ -25,7 +25,6 @@ from voxtrait.features import (
     write_table_csv,
 )
 from voxtrait.segmentation import (
-    FRAME_BLOCK,
     PauseSegment,
     SegmentationResult,
     VowelSegment,
@@ -173,18 +172,30 @@ def test_measure_vowels_at_the_clip_edge(corpus):
     _assert_prosody_windows_are_per_window(short, seg, cfg)
 
 
-@pytest.mark.parametrize("subframes", [FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1])
+_SUBFRAME_ROWS = acoustics.ncc_block_rows(
+    acoustics.subframe_grid(0, 11025)[0],
+    acoustics.pitch_lags(11025, acoustics.F0_FLOOR_HZ, acoustics.F0_CEILING_HZ)[1],
+)
+
+
+@pytest.mark.parametrize(
+    "subframes",
+    [_SUBFRAME_ROWS - 1, _SUBFRAME_ROWS, _SUBFRAME_ROWS + 1, 1023, 1024, 1025],
+)
 def test_prosody_windows_across_block_boundaries(corpus, subframes):
     # Stressed vowels every 50 ms, so prosody windows overlap, over a clip
-    # cut so that the last window keeps subframes % 6 of its six subframes:
-    # the clip's last subframe falls just before, at or just past the end of
-    # the first F0 block, and with FRAME_BLOCK + 1 a block splits a vowel.
+    # cut so that the last window keeps the last 1 to 6 of the subframes.
+    # With one F0 block of subframes, less one or plus one, the clip's last
+    # subframe falls just before, at or just past the end of the first block;
+    # plus one puts a block boundary inside a vowel unless a block holds a
+    # multiple of 6 rows. The 1023 to 1025 subframes run over many blocks.
     cfg = RunConfig()
     rate = cfg.sample_rate
     audio = np.concatenate([clip.samples for clip in _corpus_clips(corpus, every=6)])
-    full, tail = divmod(subframes, 6)
+    windows = -(-subframes // 6)
+    tail = subframes - 6 * (windows - 1)
     flen, hop, _ = acoustics.subframe_grid(0, rate)
-    centers = [0.05 + 0.05 * i for i in range(full + 1)]
+    centers = [0.05 + 0.05 * i for i in range(windows)]
     lo = int(round(centers[-1] * rate)) - int(round(cfg.prosody_window * rate)) // 2
     x = audio[: lo + flen + hop * (tail - 1)]
     seg = SegmentationResult(

@@ -13,7 +13,6 @@ from voxtrait.audio_io import AudioClip
 from voxtrait.config import RunConfig
 from voxtrait.errors import ClipTooShortError, InputError
 from voxtrait.segmentation import (
-    FRAME_BLOCK,
     FrameTrack,
     PauseSegment,
     VowelSegment,
@@ -29,6 +28,8 @@ from oracles import analyze_frames_reference, trim_pauses_reference, vowel_spans
 
 RATE = 11025
 HOP = 110  # round(0.010 * 11025)
+MAX_LAG = acoustics.pitch_lags(RATE, acoustics.F0_FLOOR_HZ, acoustics.F0_CEILING_HZ)[1]
+ROWS = acoustics.ncc_block_rows(276, MAX_LAG)  # frames per block at the default 25 ms
 
 
 def _burst(n: int) -> np.ndarray:
@@ -176,14 +177,32 @@ def _speechlike(n: int, seed: int) -> np.ndarray:
     return np.clip(x, -1.0, 1.0)
 
 
+# ROWS - 1 to ROWS + 1 frames straddle the end of the first block; 3 * ROWS + 5
+# and 1023 to 3077 frames run over many blocks, the last one partial (a set:
+# ROWS + 1 may equal one of the fixed lengths)
 @pytest.mark.parametrize(
     "n_frames",
-    [1, 2, 63, 64, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 3 * FRAME_BLOCK + 5],
+    sorted({1, 2, 63, 64, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5, 1023, 1024, 1025, 3077}),
 )
 def test_block_analysis_matches_whole_array(n_frames):
     x = _speechlike(276 + HOP * (n_frames - 1), seed=n_frames)
     track = analyze_frames(AudioClip(x, RATE))
     energy, strength = analyze_frames_reference(x, RATE)
+    assert track.n_frames == n_frames
+    assert np.array_equal(track.energy_db, energy)
+    assert np.array_equal(track.voicing_strength, strength)
+
+
+def test_block_analysis_of_50ms_frames_matches_whole_array():
+    # 551-sample frames take a 1024-point FFT, twice the default's, so a
+    # block holds about half as many of them
+    flen = int(round(0.050 * RATE))
+    rows = acoustics.ncc_block_rows(flen, MAX_LAG)
+    assert rows < ROWS
+    n_frames = 3 * rows + 5
+    x = _speechlike(flen + HOP * (n_frames - 1), seed=50)
+    track = analyze_frames(AudioClip(x, RATE), RunConfig(frame_length=0.050))
+    energy, strength = analyze_frames_reference(x, RATE, frame_length=0.050)
     assert track.n_frames == n_frames
     assert np.array_equal(track.energy_db, energy)
     assert np.array_equal(track.voicing_strength, strength)
@@ -205,14 +224,22 @@ def test_voicing_strength_is_the_pitch_tracker_curve():
 
 
 def test_frame_analysis_memory_does_not_grow_with_clip_length():
+    # Above the three per-frame output arrays (17 bytes a frame), the peak
+    # is one block's NCC working set, which ncc_block_rows sizes to
+    # NCC_BLOCK_BYTES. BLOCK_SLACK covers the small arrays its row cost
+    # leaves out, about 0.13 MB at the default frames.
+    BLOCK_SLACK = 256 << 10
+
     def peak(minutes: int) -> int:
         clip = AudioClip(_speechlike(minutes * 60 * RATE, seed=minutes), RATE)
         tracemalloc.start()
         try:
-            analyze_frames(clip)
-            return tracemalloc.get_traced_memory()[1]
+            track = analyze_frames(clip)
+            working = tracemalloc.get_traced_memory()[1] - 17 * track.n_frames
         finally:
             tracemalloc.stop()
+        assert working <= acoustics.NCC_BLOCK_BYTES + BLOCK_SLACK, minutes
+        return working
 
     assert peak(8) < 1.25 * peak(2)
 
