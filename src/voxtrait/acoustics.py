@@ -9,7 +9,9 @@ per call; `features.measure_vowels` hands `f0_frames` the F0 subframes of
 every stressed vowel of a clip together. Both size their blocks with
 `ncc_block_rows`, so that a block's working arrays fit NCC_BLOCK_BYTES
 (1 MiB, a quarter of the 4 MiB per-core L2 cache of the machine it was
-tuned on) whatever the frame length. HNR takes one window per call,
+tuned on) whatever the frame length. Long clips run their blocks on one
+thread per CPU, one block in flight per thread, so the budget is per
+thread, as each core has its own L2 cache. HNR takes one window per call,
 through `ncc_curve`.
 
 All functions take plain sample arrays; the 80 ms prosody / 40 ms spectral
@@ -53,7 +55,8 @@ _TINY = 1e-30
 # 1024 default frames (17 MB) overflowed the cache, and malloc mapped their
 # multi-MB arrays afresh for every block: about 127,000 minor page faults
 # per 10-min clip, against a few hundred at 1 MiB. 1 MiB leaves room in
-# smaller caches.
+# smaller caches. The budget is per thread: splitting 1 MiB between two
+# threads (31-row blocks) ran frame analysis slower than one thread did.
 NCC_BLOCK_BYTES = 1 << 20
 
 

@@ -4,9 +4,12 @@ Clips are canonicalized to mono float64 in [-1, 1]. Integer PCM is scaled by
 2**(bits-1), so a 16-bit sample of 32767 maps to 32767/32768. Analysis
 elsewhere assumes the canonical 11025 Hz rate; `resample` gets clips there.
 
-Decoding reads the data chunk block by block into one reused buffer, so it
-holds the mono output plus a few MB of per-block temporaries however long
-the clip is; the file's bytes are never held whole.
+Decoding reads the data chunk block by block, and `resample` filters the
+clip block by block of output, each writing into one output array
+allocated up front: they hold that output plus a few MB of per-block
+temporaries per thread however long the clip is, and the file's bytes are
+never held whole. Long clips share the blocks out over one thread per CPU
+(`_blocks.run_blocks`); the samples are the serial ones, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import BinaryIO
 import numpy as np
 from scipy.signal import upfirdn
 
+from ._blocks import run_blocks
 from .errors import EmptyAudioError, InputError, NonPcmError, WavReadError
 
 TARGET_RATE = 11025
@@ -36,6 +40,8 @@ _CUTOFF_FRACTION = 0.45
 # temporaries take at most a few MB, whatever the clip length.
 DECODE_BLOCK_FRAMES = 1 << 16
 _PCM_DTYPES = {8: "u1", 16: "<i2", 32: "<i4"}
+# Output samples `resample` computes per upfirdn call: 3 s at 11025 Hz.
+RESAMPLE_BLOCK_SAMPLES = 1 << 15
 
 _FORMAT_PCM = 1
 _FORMAT_EXTENSIBLE = 0xFFFE
@@ -98,10 +104,14 @@ def _find_chunks(fh: BinaryIO) -> dict[bytes, tuple[int, int]]:
     return chunks
 
 
-def _decode_pcm(fh: BinaryIO, bits: int, n_channels: int, n_frames: int) -> np.ndarray:
-    """Mono float64 samples of interleaved integer PCM read from `fh`.
+def _decode_pcm(
+    path: str, data_pos: int, bits: int, n_channels: int, n_frames: int
+) -> np.ndarray:
+    """Mono float64 samples of the interleaved integer PCM at data_pos.
 
-    Reads DECODE_BLOCK_FRAMES frames at a time into one reused buffer. Each
+    Reads DECODE_BLOCK_FRAMES frames at a time. The blocks are shared out
+    in contiguous runs over threads (_blocks.run_blocks); each run opens
+    the file for itself and reads its blocks into one reused buffer. Each
     frame's channels are summed exactly in int64 (8-bit samples less 128
     each), and the sum is divided once by n_channels * 2**(bits-1). Scaling
     each sample by the power of two is exact and so is summing the scaled
@@ -111,26 +121,32 @@ def _decode_pcm(fh: BinaryIO, bits: int, n_channels: int, n_frames: int) -> np.n
     mono = np.empty(n_frames)
     frame_size = (bits // 8) * n_channels
     scale = float(n_channels << (bits - 1))
-    buf = memoryview(bytearray(min(n_frames, DECODE_BLOCK_FRAMES) * frame_size))
-    for start in range(0, n_frames, DECODE_BLOCK_FRAMES):
-        stop = min(start + DECODE_BLOCK_FRAMES, n_frames)
-        chunk = buf[: (stop - start) * frame_size]
-        if fh.readinto(chunk) != len(chunk):
-            raise WavReadError(f"{fh.name}: data chunk ended while being read")
-        if bits == 24:  # assemble little-endian triplets and sign-extend
-            b = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-            raw = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-            raw -= (raw & 0x800000) << 1
-        else:
-            raw = np.frombuffer(chunk, dtype=_PCM_DTYPES[bits])
-        # one strided pass per channel beats a sum over a short last axis
-        frames = raw.reshape(-1, n_channels)
-        total = frames[:, 0].astype(np.int64)
-        for c in range(1, n_channels):
-            total += frames[:, c]
-        if bits == 8:
-            total -= 128 * n_channels
-        np.divide(total, scale, out=mono[start:stop])
+
+    def decode(starts: range) -> None:
+        buf = memoryview(bytearray(min(n_frames, DECODE_BLOCK_FRAMES) * frame_size))
+        with open(path, "rb") as fh:
+            fh.seek(data_pos + starts[0] * frame_size)
+            for start in starts:
+                stop = min(start + DECODE_BLOCK_FRAMES, n_frames)
+                chunk = buf[: (stop - start) * frame_size]
+                if fh.readinto(chunk) != len(chunk):
+                    raise WavReadError(f"{path}: data chunk ended while being read")
+                if bits == 24:  # assemble little-endian triplets and sign-extend
+                    b = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+                    raw = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+                    raw -= (raw & 0x800000) << 1
+                else:
+                    raw = np.frombuffer(chunk, dtype=_PCM_DTYPES[bits])
+                # one strided pass per channel beats a sum over a short last axis
+                frames = raw.reshape(-1, n_channels)
+                total = frames[:, 0].astype(np.int64)
+                for c in range(1, n_channels):
+                    total += frames[:, c]
+                if bits == 8:
+                    total -= 128 * n_channels
+                np.divide(total, scale, out=mono[start:stop])
+
+    run_blocks(decode, range(0, n_frames, DECODE_BLOCK_FRAMES))
     return mono
 
 
@@ -185,8 +201,7 @@ def load_wav(path: str, source_id: str | None = None) -> AudioClip:
             n_frames = data_size // frame_size
             if n_frames == 0:
                 raise EmptyAudioError(f"{path}: zero-length data chunk")
-            fh.seek(data_pos)
-            mono = _decode_pcm(fh, bits, n_channels, n_frames)
+        mono = _decode_pcm(path, data_pos, bits, n_channels, n_frames)
     except OSError as exc:
         raise WavReadError(f"cannot read {path}: {exc}") from exc
 
@@ -242,10 +257,28 @@ def resample(clip: AudioClip, target_rate: int = TARGET_RATE) -> AudioClip:
     cutoff = cutoff_hz / (src * up)
     h = _design_lowpass(2 * half + 1, cutoff) * up
 
-    y = upfirdn(h, clip.samples, up=up, down=down)
+    # Output i is y[start + i] of y = upfirdn(h, x, up, down), computed
+    # RESAMPLE_BLOCK_SAMPLES outputs at a time. upfirdn sums y[m] over the
+    # inputs x[j] with 0 <= m*down - j*up < len(h) in rising j, so a block
+    # that starts its input len(h) - 1 upsampled samples or more before
+    # its first output, at a j that is a multiple of down (its output grid
+    # is then y's, shifted by j*up/down samples), sums the same terms in
+    # the same order: the blocks are the whole-array call, bit for bit.
+    x = clip.samples
     start = half // down
-    out = y[start : start + n_out]
-    if out.size < n_out:  # guard; cannot happen for half >= down
-        out = np.pad(out, (0, n_out - out.size))
-    np.clip(out, -1.0, 1.0, out=out)
+    out = np.empty(n_out)
+
+    def convert(blocks: range) -> None:
+        for a in blocks:
+            b = min(a + RESAMPLE_BLOCK_SAMPLES, n_out)
+            m0, m1 = start + a, start + b
+            j0 = max(0, (m0 * down - (h.size - 1)) // (up * down)) * down
+            j1 = (m1 - 1) * down // up + 1  # past the last input of y[m1 - 1]
+            shift = j0 * up // down
+            y = upfirdn(h, x[j0:j1], up=up, down=down)[m0 - shift : m1 - shift]
+            out[a : a + y.size] = y
+            out[a + y.size : b] = 0.0  # guard; cannot happen for half >= down
+            np.clip(out[a:b], -1.0, 1.0, out=out[a:b])
+
+    run_blocks(convert, range(0, n_out, RESAMPLE_BLOCK_SAMPLES))
     return AudioClip(out, target_rate, clip.source_id)

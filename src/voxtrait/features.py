@@ -28,6 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import acoustics
+from ._blocks import run_blocks
 from .audio_io import AudioClip
 from .config import RunConfig
 from .csvio import finite, read_csv, write_csv
@@ -178,7 +179,9 @@ def _f0_tracks(x: np.ndarray, rate: int, spans: list[tuple[int, int]], cfg: RunC
     clip and pitch-tracked acoustics.ncc_block_rows rows per f0_frames call
     (62 of the 25 ms subframes), so the NCC working memory stays near
     acoustics.NCC_BLOCK_BYTES, 1 MiB, however long the clip is; that budget
-    keeps a block inside the 4 MiB per-core L2 cache it was tuned on.
+    keeps a block inside the 4 MiB per-core L2 cache it was tuned on. Many
+    blocks are shared out over one thread per CPU (_blocks.run_blocks), one
+    block in flight per thread.
     """
     flen, hop, _ = acoustics.subframe_grid(0, rate)
     counts = [acoustics.subframe_grid(hi - lo, rate)[2] for lo, hi in spans]
@@ -190,11 +193,15 @@ def _f0_tracks(x: np.ndarray, rate: int, spans: list[tuple[int, int]], cfg: RunC
         frames = sliding_window_view(x, flen)
         _, max_lag = acoustics.pitch_lags(rate, cfg.f0_floor, cfg.f0_ceiling)
         rows = acoustics.ncc_block_rows(flen, max_lag)
-        for a in range(0, starts.size, rows):
-            block = frames[starts[a : a + rows]]
-            f0[a : a + rows], _ = acoustics.f0_frames(
-                block, rate, cfg.f0_floor, cfg.f0_ceiling, cfg.voicing_threshold
-            )
+
+        def pitch(blocks: range) -> None:
+            for a in blocks:
+                block = frames[starts[a : a + rows]]
+                f0[a : a + rows], _ = acoustics.f0_frames(
+                    block, rate, cfg.f0_floor, cfg.f0_ceiling, cfg.voicing_threshold
+                )
+
+        run_blocks(pitch, range(0, starts.size, rows))
     for count in counts:
         yield acoustics.f0_track(f0[:count])
         f0 = f0[count:]

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import acoustics
+from ._blocks import run_blocks
 from .audio_io import AudioClip
 from .config import RunConfig
 from .errors import ClipTooShortError, InputError
@@ -118,9 +119,11 @@ def analyze_frames(clip: AudioClip, cfg: RunConfig | None = None) -> FrameTrack:
     acoustics.ncc_block_rows at a time (62 default frames), so a block's
     working arrays stay within acoustics.NCC_BLOCK_BYTES, 1 MiB, which fits
     the 4 MiB per-core L2 cache the block size was tuned on, and working
-    memory does not grow with clip length. The clip's own rate sets the
-    frame sizes in samples, and it may differ from cfg.sample_rate, so the
-    frame geometry is checked again here.
+    memory does not grow with clip length. A long clip's blocks are shared
+    out over one thread per CPU (_blocks.run_blocks), one block in flight
+    per thread; the scores are the serial ones, bit for bit. The clip's own
+    rate sets the frame sizes in samples, and it may differ from
+    cfg.sample_rate, so the frame geometry is checked again here.
     """
     cfg = cfg or RunConfig()
     rate = clip.sample_rate
@@ -145,9 +148,13 @@ def analyze_frames(clip: AudioClip, cfg: RunConfig | None = None) -> FrameTrack:
     rows = acoustics.ncc_block_rows(flen, hi)
     energy = np.empty(n_frames)
     strength = np.empty(n_frames)
-    for a in range(0, n_frames, rows):
-        b = min(a + rows, n_frames)
-        energy[a:b], strength[a:b] = _score_frames(frames[a:b], lo, hi)
+
+    def score(starts: range) -> None:
+        for a in starts:
+            b = min(a + rows, n_frames)
+            energy[a:b], strength[a:b] = _score_frames(frames[a:b], lo, hi)
+
+    run_blocks(score, range(0, n_frames, rows))
 
     return FrameTrack(
         sample_rate=rate,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from voxtrait import _blocks
 from voxtrait.audio_io import load_wav, resample
 from voxtrait.features import FeatureTable, extract_features
 from voxtrait.regression import read_ratings_csv
@@ -25,3 +26,33 @@ def extracted(corpus):
             clip = resample(load_wav(os.path.join(corpus.root, row["path"])))
             table.add(row["speaker_id"], row["session"], extract_features(clip))
     return table, read_ratings_csv(corpus.ratings)
+
+
+class _CountingPool:
+    """The block pool, counting the runs handed to its threads."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.runs = 0
+
+    def submit(self, fn, *args):
+        self.runs += 1
+        return self.pool.submit(fn, *args)
+
+    @staticmethod
+    def runs_for(n_blocks):
+        """Runs a loop of n_blocks hands to pool threads."""
+        return max(0, min(_blocks._workers, n_blocks // _blocks.MIN_BLOCKS_PER_WORKER) - 1)
+
+
+@pytest.fixture()
+def block_threads(monkeypatch):
+    """Three block threads, however many CPUs the machine has.
+
+    Yields the pool wrapper, whose `runs` counts the runs handed to pool
+    threads, so a test can check that a loop really was shared out.
+    """
+    monkeypatch.setattr(_blocks, "_workers", 3)
+    pool = _CountingPool(_blocks._shared_pool())
+    monkeypatch.setattr(_blocks, "_shared_pool", lambda: pool)
+    return pool

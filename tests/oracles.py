@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.fft import irfft, rfft
-from scipy.signal import lfilter
+from scipy.signal import lfilter, upfirdn
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
 
@@ -30,6 +30,7 @@ from voxtrait.acoustics import (
     pitch_lags,
     subframe_grid,
 )
+from voxtrait.audio_io import _CUTOFF_FRACTION, _HALF_LEN_FACTOR, _design_lowpass
 from voxtrait.errors import ConstantColumnError, InputError, InsufficientDataError, StatsError
 from voxtrait.features import FEATURE_NAMES, FeatureTable
 from voxtrait.regression import (
@@ -374,6 +375,25 @@ def decode_pcm_reference(body: bytes, bits: int, n_channels: int) -> np.ndarray:
         val -= (val & 0x800000) << 1
         scaled = val.astype(np.float64) / float(1 << 23)
     return scaled.reshape(n_frames, n_channels).mean(axis=1)
+
+
+def resample_reference(x: np.ndarray, src: int, target: int) -> np.ndarray:
+    """audio_io.resample's samples from one upfirdn call over the whole clip."""
+    g = math.gcd(src, target)
+    up, down = target // g, src // g
+    n_out = int(round(x.size * target / src))
+    if n_out == 0:
+        return np.zeros(0)
+    blocks = math.ceil(_HALF_LEN_FACTOR * max(up, down) / down)
+    half = blocks * down
+    cutoff = _CUTOFF_FRACTION * min(src, target) / (src * up)
+    h = _design_lowpass(2 * half + 1, cutoff) * up
+    y = upfirdn(h, x, up=up, down=down)
+    start = half // down
+    out = y[start : start + n_out]
+    if out.size < n_out:
+        out = np.pad(out, (0, n_out - out.size))
+    return np.clip(out, -1.0, 1.0)
 
 
 def analyze_frames_reference(

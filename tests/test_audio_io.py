@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxtrait import audio_io
+from voxtrait import _blocks, audio_io
 from voxtrait.audio_io import (
     DECODE_BLOCK_FRAMES,
+    RESAMPLE_BLOCK_SAMPLES,
     AudioClip,
     load_wav,
     resample,
@@ -24,9 +25,11 @@ from voxtrait.audio_io import (
 )
 from voxtrait.errors import EmptyAudioError, InputError, NonPcmError, WavReadError
 
-from oracles import decode_pcm_reference
+from oracles import decode_pcm_reference, resample_reference
 
 RATE = 11025
+# blocks for which a loop is shared out over two threads
+POOLED_BLOCKS = 2 * _blocks.MIN_BLOCKS_PER_WORKER
 
 # hypothesis forbids function-scoped tmp_path; one shared scratch file is fine
 _PROPERTY_DIR = tempfile.mkdtemp(prefix="voxtrait_prop_")
@@ -235,6 +238,24 @@ def test_block_decode_matches_whole_array_decode(tmp_path, bits, channels):
         assert np.array_equal(got, decode_pcm_reference(body, bits, channels))
 
 
+@pytest.mark.parametrize("bits", [8, 16, 24, 32])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_threaded_decode_matches_whole_array_decode(tmp_path, block_threads, bits, channels):
+    # 16 blocks with the last one frame short, and 16 blocks and one frame:
+    # the shortest loops shared out over two threads, the second one ending
+    # in a one-frame block
+    frame = channels * (bits // 8)
+    rng = np.random.default_rng(bits * 10 + channels)
+    path = tmp_path / "threads.wav"
+    whole = POOLED_BLOCKS * DECODE_BLOCK_FRAMES
+    for n_frames in (whole - 1, whole + 1):
+        body = rng.bytes(n_frames * frame)
+        path.write_bytes(_riff(_fmt(1, channels, RATE, bits), body))
+        got = load_wav(str(path)).samples
+        assert np.array_equal(got, decode_pcm_reference(body, bits, channels))
+    assert block_threads.runs == 2
+
+
 def _write_long_stereo(path, seconds, rate=44100):
     """A 16-bit stereo WAV of `seconds`, written one second at a time."""
     second = np.random.default_rng(seconds).integers(
@@ -278,6 +299,31 @@ def test_os_error_while_reading_data_is_a_wav_read_error(tmp_path, monkeypatch):
     )
     with pytest.raises(WavReadError, match="device went away"):
         load_wav(str(path))
+
+
+def test_error_in_a_decode_thread_is_a_wav_read_error(tmp_path, monkeypatch, block_threads):
+    path = tmp_path / "long.wav"
+    write_wav(str(path), np.zeros(POOLED_BLOCKS * DECODE_BLOCK_FRAMES), RATE)
+    late = 44 + 2 * DECODE_BLOCK_FRAMES * (POOLED_BLOCKS - 1)  # in the second thread's run
+
+    def failing(exc):
+        class LateFailingReader(io.BufferedReader):
+            def readinto(self, buf):
+                if self.tell() >= late:
+                    if exc is None:  # the file ends early
+                        return 0
+                    raise exc
+                return super().readinto(buf)
+
+        return lambda p, mode: LateFailingReader(io.FileIO(p, mode))
+
+    monkeypatch.setattr(audio_io, "open", failing(OSError("device went away")), raising=False)
+    with pytest.raises(WavReadError, match="device went away"):
+        load_wav(str(path))
+    monkeypatch.setattr(audio_io, "open", failing(None), raising=False)
+    with pytest.raises(WavReadError, match="data chunk ended while being read"):
+        load_wav(str(path))
+    assert block_threads.runs == 2
 
 
 def test_first_chunk_wins_and_short_data_is_cut_to_the_file(tmp_path):
@@ -356,3 +402,39 @@ def test_resample_identity_and_validation():
     assert resample(clip) is clip
     with pytest.raises(InputError):
         resample(clip, target_rate=0)
+
+
+# 16 blocks less one sample, exactly, and plus one: the last block runs
+# short, full or one sample long; 24 blocks plus 5 share out over 3 threads
+_POOLED_OUTPUTS = [
+    POOLED_BLOCKS * RESAMPLE_BLOCK_SAMPLES + d for d in (-1, 0, 1)
+] + [3 * _blocks.MIN_BLOCKS_PER_WORKER * RESAMPLE_BLOCK_SAMPLES + 5]
+
+
+@pytest.mark.parametrize("src_rate", [44100, 48000, 22050, 16000, 8000])
+def test_block_resample_matches_whole_array(src_rate, block_threads):
+    rng = np.random.default_rng(src_rate)
+    runs = 0
+    for n_out in [1, 5, *_POOLED_OUTPUTS]:
+        # the input length that resamples to n_out outputs
+        x = np.clip(0.4 * rng.standard_normal(max(1, round(n_out * src_rate / RATE))), -1, 1)
+        got = resample(AudioClip(x, src_rate)).samples
+        assert np.array_equal(got, resample_reference(x, src_rate, RATE)), (src_rate, n_out)
+        runs += block_threads.runs_for(-(-got.size // RESAMPLE_BLOCK_SAMPLES))
+    assert block_threads.runs == runs == 5
+
+
+def test_threaded_resample_holds_no_second_output(block_threads):
+    # The output is allocated once and each block writes its slice of it,
+    # so the peak above the output is one upfirdn block per thread in flight
+    # (about 0.26 MB each) and the filter, never a second full-length array.
+    x = np.clip(0.4 * np.random.default_rng(1).standard_normal(120 * 44100), -1, 1)
+    clip = AudioClip(x, 44100)
+    tracemalloc.start()
+    try:
+        out = resample(clip).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block_threads.runs == 2
+    assert peak - out.nbytes < 3 * 2 * RESAMPLE_BLOCK_SAMPLES * 8

@@ -4,10 +4,15 @@ import csv
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import voxtrait
+from voxtrait.audio_io import AudioClip, load_wav, resample, write_wav
 from voxtrait.cli import main
 from voxtrait.config import RunConfig
 from voxtrait.errors import InputError
@@ -144,6 +149,61 @@ def test_run_config_reaches_pool_workers_whole(corpus, tmp_path, capsys):
         tables[jobs, floor] = out.read_bytes()
     assert tables["2", "0.9"] == tables["1", "0.9"]
     assert tables["2", "0.9"] != tables["2", "0.4"]  # the workers read the 0.9 s floor
+
+
+# A process that has started the block pool, then forks `extract --jobs 2`
+# workers: the children inherit the pool object but not its threads.
+_FORK_AFTER_POOL = """
+import sys
+import numpy as np
+from voxtrait import _blocks
+from voxtrait.audio_io import AudioClip
+from voxtrait.cli import main
+from voxtrait.segmentation import analyze_frames
+
+_blocks._workers = 2  # a pool thread on any machine
+analyze_frames(AudioClip(np.zeros(120 * 11025), 11025))
+assert _blocks._pool is not None
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_extract_jobs_after_the_block_pool_started(corpus, tmp_path):
+    # Two 30 s 44.1 kHz recordings: decoding each is 20 blocks, enough for
+    # two threads, so a child that kept the inherited pool would wait on it
+    # forever. The timeout turns such a hang into a failure.
+    names = sorted(os.listdir(corpus.wav_dir))
+    rows = ["path,speaker_id,session"]
+    for i in range(2):
+        audio = np.concatenate(
+            [load_wav(os.path.join(corpus.wav_dir, n)).samples for n in names[i::2]]
+        )
+        clip = resample(AudioClip(np.tile(audio, 2)[: 30 * 11025], 11025), 44100)
+        path = tmp_path / f"long{i}.wav"
+        write_wav(str(path), clip.samples, 44100)
+        rows.append(f"{path},sp{i:02d},S1")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    argv = ["extract", "--manifest", str(manifest), "--out"]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(voxtrait.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    forked = subprocess.Popen(
+        [sys.executable, "-c", _FORK_AFTER_POOL, *argv, str(tmp_path / "f2.csv"), "--jobs", "2"],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # one process group with its pool workers
+    )
+    try:
+        _, err = forked.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(forked.pid, signal.SIGKILL)
+        forked.communicate()
+        pytest.fail("extract --jobs 2 hung after the block pool had started")
+    assert forked.returncode == 0, err
+    assert main([*argv, str(tmp_path / "f1.csv"), "--jobs", "1"]) == 0
+    assert (tmp_path / "f2.csv").read_bytes() == (tmp_path / "f1.csv").read_bytes()
 
 
 # each config flag with a value away from its default

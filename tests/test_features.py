@@ -9,7 +9,7 @@ import wave
 import numpy as np
 import pytest
 
-from voxtrait import acoustics
+from voxtrait import _blocks, acoustics
 from voxtrait.audio_io import AudioClip, load_wav, resample
 from voxtrait.config import RunConfig
 from voxtrait.errors import DuplicateKeyError, InputError, TableFormatError
@@ -178,11 +178,18 @@ _SUBFRAME_ROWS = acoustics.ncc_block_rows(
 )
 
 
+# From 16 blocks (1023 to 1025 subframes, and 16 blocks less one subframe
+# and plus one) the blocks are shared out over two threads, and from 24
+# (24 blocks plus 5 subframes) over three.
+_POOLED = 2 * _blocks.MIN_BLOCKS_PER_WORKER * _SUBFRAME_ROWS
+
+
 @pytest.mark.parametrize(
     "subframes",
-    [_SUBFRAME_ROWS - 1, _SUBFRAME_ROWS, _SUBFRAME_ROWS + 1, 1023, 1024, 1025],
+    [_SUBFRAME_ROWS - 1, _SUBFRAME_ROWS, _SUBFRAME_ROWS + 1, 1023, 1024, 1025]
+    + [_POOLED - 1, _POOLED + 1, 3 * _POOLED // 2 + 5],
 )
-def test_prosody_windows_across_block_boundaries(corpus, subframes):
+def test_prosody_windows_across_block_boundaries(corpus, subframes, block_threads):
     # Stressed vowels every 50 ms, so prosody windows overlap, over a clip
     # cut so that the last window keeps the last 1 to 6 of the subframes.
     # With one F0 block of subframes, less one or plus one, the clip's last
@@ -206,6 +213,7 @@ def test_prosody_windows_across_block_boundaries(corpus, subframes):
     measured = _assert_prosody_windows_are_per_window(AudioClip(x, rate), seg, cfg)
     assert sum(len(m[1].f0_track) for m in measured) == subframes
     assert len(measured[-1][1].f0_track) == tail
+    assert block_threads.runs == block_threads.runs_for(-(-subframes // _SUBFRAME_ROWS))
 
 
 def test_measure_vowels_memory_does_not_grow_with_clip_length(corpus):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxtrait import acoustics
+from voxtrait import _blocks, acoustics
 from voxtrait.audio_io import AudioClip
 from voxtrait.config import RunConfig
 from voxtrait.errors import ClipTooShortError, InputError
@@ -30,6 +30,8 @@ RATE = 11025
 HOP = 110  # round(0.010 * 11025)
 MAX_LAG = acoustics.pitch_lags(RATE, acoustics.F0_FLOOR_HZ, acoustics.F0_CEILING_HZ)[1]
 ROWS = acoustics.ncc_block_rows(276, MAX_LAG)  # frames per block at the default 25 ms
+# blocks for which a loop is shared out over two threads
+POOLED_BLOCKS = 2 * _blocks.MIN_BLOCKS_PER_WORKER
 
 
 def _burst(n: int) -> np.ndarray:
@@ -179,18 +181,25 @@ def _speechlike(n: int, seed: int) -> np.ndarray:
 
 # ROWS - 1 to ROWS + 1 frames straddle the end of the first block; 3 * ROWS + 5
 # and 1023 to 3077 frames run over many blocks, the last one partial (a set:
-# ROWS + 1 may equal one of the fixed lengths)
+# ROWS + 1 may equal one of the fixed lengths). From 16 blocks (1023 to 1025
+# frames, and 16 blocks less one frame and plus one) the blocks are shared
+# out over two threads, and from 24 (24 blocks plus 5 frames, 3077 frames)
+# over three.
 @pytest.mark.parametrize(
     "n_frames",
-    sorted({1, 2, 63, 64, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5, 1023, 1024, 1025, 3077}),
+    sorted(
+        {1, 2, 63, 64, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5, 1023, 1024, 1025, 3077}
+        | {POOLED_BLOCKS * ROWS - 1, POOLED_BLOCKS * ROWS + 1, 3 * POOLED_BLOCKS // 2 * ROWS + 5}
+    ),
 )
-def test_block_analysis_matches_whole_array(n_frames):
+def test_block_analysis_matches_whole_array(n_frames, block_threads):
     x = _speechlike(276 + HOP * (n_frames - 1), seed=n_frames)
     track = analyze_frames(AudioClip(x, RATE))
     energy, strength = analyze_frames_reference(x, RATE)
     assert track.n_frames == n_frames
     assert np.array_equal(track.energy_db, energy)
     assert np.array_equal(track.voicing_strength, strength)
+    assert block_threads.runs == block_threads.runs_for(-(-n_frames // ROWS))
 
 
 def test_block_analysis_of_50ms_frames_matches_whole_array():
@@ -223,25 +232,38 @@ def test_voicing_strength_is_the_pitch_tracker_curve():
     assert np.array_equal(track.voicing_strength, expected)
 
 
-def test_frame_analysis_memory_does_not_grow_with_clip_length():
-    # Above the three per-frame output arrays (17 bytes a frame), the peak
-    # is one block's NCC working set, which ncc_block_rows sizes to
-    # NCC_BLOCK_BYTES. BLOCK_SLACK covers the small arrays its row cost
-    # leaves out, about 0.13 MB at the default frames.
-    BLOCK_SLACK = 256 << 10
+# Above the three per-frame output arrays (17 bytes a frame), the peak is
+# the NCC working set of each block in flight, which ncc_block_rows sizes to
+# NCC_BLOCK_BYTES. BLOCK_SLACK covers the small arrays its row cost leaves
+# out, about 0.13 MB at the default frames.
+BLOCK_SLACK = 256 << 10
 
-    def peak(minutes: int) -> int:
-        clip = AudioClip(_speechlike(minutes * 60 * RATE, seed=minutes), RATE)
-        tracemalloc.start()
-        try:
-            track = analyze_frames(clip)
-            working = tracemalloc.get_traced_memory()[1] - 17 * track.n_frames
-        finally:
-            tracemalloc.stop()
+
+def _frame_analysis_peak(minutes: int) -> int:
+    clip = AudioClip(_speechlike(minutes * 60 * RATE, seed=minutes), RATE)
+    tracemalloc.start()
+    try:
+        track = analyze_frames(clip)
+        return tracemalloc.get_traced_memory()[1] - 17 * track.n_frames
+    finally:
+        tracemalloc.stop()
+
+
+def test_frame_analysis_memory_does_not_grow_with_clip_length(monkeypatch):
+    # one block at a time: the blocks run inline
+    monkeypatch.setattr(_blocks, "_workers", 1)
+    peaks = {minutes: _frame_analysis_peak(minutes) for minutes in (2, 8)}
+    for minutes, working in peaks.items():
         assert working <= acoustics.NCC_BLOCK_BYTES + BLOCK_SLACK, minutes
-        return working
+    assert peaks[8] < 1.25 * peaks[2]
 
-    assert peak(8) < 1.25 * peak(2)
+
+def test_threaded_frame_analysis_memory_is_one_block_per_thread(block_threads):
+    # NCC_BLOCK_BYTES is a budget per thread: each core has its own L2
+    for minutes in (2, 8):
+        working = _frame_analysis_peak(minutes)
+        assert working <= 3 * (acoustics.NCC_BLOCK_BYTES + BLOCK_SLACK), minutes
+    assert block_threads.runs == 4
 
 
 @st.composite
