@@ -11,8 +11,17 @@ every stressed vowel of a clip together. Both size their blocks with
 (1 MiB, a quarter of the 4 MiB per-core L2 cache of the machine it was
 tuned on) whatever the frame length. Long clips run their blocks on one
 thread per CPU, one block in flight per thread, so the budget is per
-thread, as each core has its own L2 cache. HNR takes one window per call,
-through `ncc_curve`.
+thread, as each core has its own L2 cache.
+
+The voice-quality and spectral measures have the same shape: one block
+function per measure (`harmonicity_frames`, `lpc_frames`, `mfcc_frames`,
+gathered by `quality_windows` and `spectral_windows`), which
+`features.measure_vowels` calls on blocks of `quality_block_rows` vowels,
+sized to the same NCC_BLOCK_BYTES budget. Each one-window function
+(`harmonicity_db`, `lpc_formants`, `mfcc`, `analyze_quality_window`,
+`analyze_spectral_window`) is the one-row case of its block function, so
+each measure has a single implementation. Cycle marking and jitter/shimmer
+stay one window at a time.
 
 All functions take plain sample arrays; the 80 ms prosody / 40 ms spectral
 window slicing is done by the callers in `features`.
@@ -21,6 +30,7 @@ window slicing is done by the callers in `features`.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -232,14 +242,26 @@ def _pick_peaks(curves: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nd
         best[hit] = lo + np.argmax(ok[hit], axis=1)
         strength = curves[row, best]
     lag = best.astype(np.float64)
-    # parabolic refinement at interior peaks, the arithmetic of _parabolic
-    mid = np.flatnonzero((best > lo) & (best < hi))
-    y0, y1, y2 = (curves[mid, best[mid] + k] for k in (-1, 0, 1))
+    # parabolic refinement at interior peaks
+    mid, offset, _ = _parabolas(curves, np.flatnonzero((best > lo) & (best < hi)), best)
+    lag[mid] += offset
+    return lag, strength
+
+
+def _parabolas(
+    curves: np.ndarray, rows: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_parabolic through curves[i, at[i] - 1 : at[i] + 2] for each i in rows.
+
+    Returns (rows, offset, peak) of the rows that have a vertex there, with
+    _parabolic's arithmetic.
+    """
+    y0, y1, y2 = (curves[rows, at[rows] + k] for k in (-1, 0, 1))
     denom = y0 - 2.0 * y1 + y2
     vertex = (np.abs(denom) > _TINY) & (y1 >= y0) & (y1 >= y2)
-    mid, y0, y2, denom = mid[vertex], y0[vertex], y2[vertex], denom[vertex]
-    lag[mid] += np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5)
-    return lag, strength
+    y0, y1, y2, denom = y0[vertex], y1[vertex], y2[vertex], denom[vertex]
+    offset = np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5)
+    return rows[vertex], offset, y1 - 0.25 * (y0 - y2) * offset
 
 
 def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
@@ -413,24 +435,30 @@ class PerturbationMeasures:
     shimmer_apq5: float | None
 
 
+# float(v.sum()) / v.size is np.mean's own arithmetic (the same pairwise sum,
+# then one division) without its per-call overhead.
+
+
 def _local_perturbation(values: np.ndarray) -> float | None:
     if values.size < 2:
         return None
-    mean = float(np.mean(values))
+    mean = float(values.sum()) / values.size
     if mean <= 0:
         return None
-    return float(np.mean(np.abs(np.diff(values)))) / mean
+    steps = np.abs(np.diff(values))
+    return float(steps.sum()) / steps.size / mean
 
 
 def _ppq5(values: np.ndarray) -> float | None:
     # mean absolute deviation from the centered 5-point running mean
     if values.size < 5:
         return None
-    mean = float(np.mean(values))
+    mean = float(values.sum()) / values.size
     if mean <= 0:
         return None
     centred = (values[:-4] + values[1:-3] + values[2:-2] + values[3:-1] + values[4:]) / 5.0
-    return float(np.mean(np.abs(values[2:-2] - centred))) / mean
+    devs = np.abs(values[2:-2] - centred)
+    return float(devs.sum()) / devs.size / mean
 
 
 def jitter_shimmer(
@@ -453,47 +481,82 @@ def jitter_shimmer(
     )
 
 
-def harmonicity_db(samples: np.ndarray, f0: float, sample_rate: int) -> float | None:
-    """Harmonics-to-noise ratio from the autocorrelation at the pitch lag.
-
-    HNR = 10 log10(r / (1 - r)), clamped to [-20, +40] dB. None when the
-    window is too short to evaluate the pitch lag.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if f0 <= 0:
-        raise InputError("f0 must be positive")
+def _hnr_lags(sample_rate: int, f0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) lags of the HNR peak search: two lags either side of rate/f0."""
     lag = sample_rate / f0
-    hi = int(math.ceil(lag)) + 2
-    if x.size < hi + _MIN_OVERLAP:
-        return None
-    curve = ncc_curve(x, hi)
-    lo = max(2, int(math.floor(lag)) - 2)
-    if lo >= curve.size:
-        return None
-    hi_c = min(hi, curve.size - 1)
-    idx = lo + int(np.argmax(curve[lo : hi_c + 1]))
-    r = float(curve[idx])
-    # fractional pitch lags push the true correlation peak between integer
-    # lags; refine the peak value or a clean tone cannot reach the clamp
-    if 1 <= idx < curve.size - 1:
-        vertex = _parabolic(curve[idx - 1], curve[idx], curve[idx + 1])
-        if vertex is not None:
-            r = vertex[1]
+    return np.maximum(np.floor(lag).astype(np.intp) - 2, 2), np.ceil(lag).astype(np.intp) + 2
+
+
+def quality_block_rows(n: int, sample_rate: int, f0_floor: float) -> int:
+    """Windows of n samples per quality_windows block within NCC_BLOCK_BYTES.
+
+    Sized by the HNR's NCC at its longest lag, that of f0_floor: 16 of the
+    80 ms windows at the defaults (882 samples, nfft 2048).
+    """
+    return ncc_block_rows(n, int(_hnr_lags(sample_rate, np.float64(f0_floor))[1]))
+
+
+def _hnr_db(r: float) -> float:
+    """10 log10(r / (1 - r)) of an NCC peak r, clamped to [-20, +40] dB."""
     if r <= 0.0:
         return HNR_MIN_DB
     if r >= 1.0:
         return HNR_MAX_DB
-    hnr = 10.0 * math.log10(r / (1.0 - r))
-    return _clamp(hnr, HNR_MIN_DB, HNR_MAX_DB)
+    return _clamp(10.0 * math.log10(r / (1.0 - r)), HNR_MIN_DB, HNR_MAX_DB)
+
+
+def harmonicity_frames(
+    frames: Sequence[np.ndarray], f0: Sequence[float], sample_rate: int
+) -> list[float | None]:
+    """Harmonics-to-noise ratio of each window from its NCC at its pitch lag.
+
+    frames are 1-D windows, of any lengths, and f0 holds one pitch per
+    window. HNR = 10 log10(r / (1 - r)), clamped to [-20, +40] dB, where r
+    is the parabolic-refined NCC peak within two lags of the pitch lag. None
+    where the window is too short to evaluate its pitch lag. Windows of one
+    length and one FFT size share one ncc_frames call, at the largest lag
+    among them, which leaves each window's own lags with the same bits; each
+    result equals harmonicity_db of its window alone.
+    """
+    f0 = np.asarray(f0, dtype=np.float64)
+    if np.any(f0 <= 0):
+        raise InputError("f0 must be positive")
+    los, his = _hnr_lags(sample_rate, f0)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (x, hi) in enumerate(zip(frames, his.tolist())):
+        n = np.size(x)
+        if n >= hi + _MIN_OVERLAP:
+            groups.setdefault((n, _ncc_size(n, hi)[1]), []).append(i)
+    out: list[float | None] = [None] * len(f0)
+    for rows in groups.values():
+        lo, hi = los[rows], his[rows]
+        block = np.stack([np.asarray(frames[i], dtype=np.float64) for i in rows])
+        curves = ncc_frames(block, int(hi.max()))
+        lags = np.arange(curves.shape[1])
+        inside = (lags >= lo[:, None]) & (lags <= hi[:, None])
+        idx = np.where(inside, curves, -np.inf).argmax(axis=1)
+        r = curves[np.arange(len(rows)), idx]
+        # fractional pitch lags push the true correlation peak between integer
+        # lags; refine the peak value, where it lies inside the row's lags, or
+        # a clean tone cannot reach the clamp
+        mid, _, peak = _parabolas(curves, np.flatnonzero(idx < hi), idx)
+        r[mid] = peak
+        for i, peak in zip(rows, r.tolist()):
+            out[i] = _hnr_db(peak)
+    return out
+
+
+def harmonicity_db(samples: np.ndarray, f0: float, sample_rate: int) -> float | None:
+    """harmonicity_frames of one window."""
+    return harmonicity_frames([samples], [f0], sample_rate)[0]
 
 
 def preemphasize(samples: np.ndarray, coeff: float = PREEMPHASIS) -> np.ndarray:
+    """y[t] = x[t] - coeff * x[t-1] along the last axis, y[0] = x[0]."""
     x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
-        return x.copy()
     out = np.empty_like(x)
-    out[0] = x[0]
-    out[1:] = x[1:] - coeff * x[:-1]
+    out[..., :1] = x[..., :1]
+    out[..., 1:] = x[..., 1:] - coeff * x[..., :-1]
     return out
 
 
@@ -522,35 +585,71 @@ def _hamming(n: int) -> np.ndarray:
     return w
 
 
-def lpc_formants(
-    samples: np.ndarray,
-    sample_rate: int,
-    order: int = LPC_ORDER,
-) -> tuple[
+Formants = tuple[
     tuple[float | None, float | None, float | None],
     tuple[float | None, float | None, float | None],
-]:
-    """First three formant frequencies and bandwidths from LPC root angles.
+]
+
+
+def lpc_frames(frames: np.ndarray, sample_rate: int, order: int = LPC_ORDER) -> list[Formants]:
+    """First three formant frequencies and bandwidths of each row of a block.
 
     Pre-emphasized, Hamming-windowed autocorrelation LPC of the given order.
     Complex roots map to frequency angle(z) * rate / 2pi and bandwidth
     -(rate/pi) * ln|z|; candidates must lie 50 Hz inside (0, Nyquist) with
-    bandwidth under 700 Hz. Missing slots are None, never fabricated.
+    bandwidth under 700 Hz. Missing slots are None, never fabricated. The
+    autocorrelation and Levinson recursion run row by row; the polynomial
+    roots of the block come from one stacked eigenvalue call. Rows equal
+    lpc_formants of each row alone.
     """
-    x = preemphasize(samples)
-    n = x.size
-    empty = ((None, None, None), (None, None, None))
+    x = preemphasize(frames)
+    rows, n = x.shape
+    out: list[Formants] = [((None, None, None), (None, None, None))] * rows
     if n <= order + 1:
-        return empty
+        return out
     w = x * _hamming(n)
-    r = np.array([float(np.dot(w[: n - k], w[k:])) for k in range(order + 1)])
-    if r[0] <= 0:
-        return empty
-    r[0] *= 1.0 + 1e-9  # hair of ridge regularization
-    a = _levinson(r, order)
-    if a is None:
-        return empty
-    roots = np.roots(a)
+    polys = []
+    for i, row in enumerate(w):
+        r = np.array([float(np.dot(row[: n - k], row[k:])) for k in range(order + 1)])
+        if r[0] <= 0:
+            continue
+        r[0] *= 1.0 + 1e-9  # hair of ridge regularization
+        a = _levinson(r, order)
+        if a is not None:
+            polys.append((i, a))
+    for (i, _), roots in zip(polys, _roots([a for _, a in polys])):
+        out[i] = _formants(roots, sample_rate)
+    return out
+
+
+def _roots(polys: list[np.ndarray]) -> list[np.ndarray]:
+    """np.roots of each polynomial, leading coefficient 1 and all of one order.
+
+    np.roots takes the eigenvalues of the companion matrix; here those of
+    every polynomial come from one stacked eigvals call. A polynomial that
+    np.roots would trim (a zero trailing coefficient) goes through np.roots
+    on its own.
+    """
+    out: list[np.ndarray | None] = [None] * len(polys)
+    whole = []
+    for i, a in enumerate(polys):
+        if a[-1] == 0:
+            out[i] = np.roots(a)
+        else:
+            whole.append(i)
+    if whole:
+        p = np.stack([polys[i] for i in whole])
+        m = p.shape[1] - 1
+        companion = np.zeros((len(whole), m, m))
+        companion[:, 1:, :-1] = np.eye(m - 1)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        for i, roots in zip(whole, np.linalg.eigvals(companion)):
+            out[i] = roots
+    return out
+
+
+def _formants(roots: np.ndarray, sample_rate: int) -> Formants:
+    """The formant and bandwidth slots of one LPC polynomial's roots."""
     roots = roots[np.imag(roots) > 0]
     cands = []
     for z in roots:
@@ -571,6 +670,11 @@ def lpc_formants(
         freqs[i] = freq
         bws[i] = bw
     return (freqs[0], freqs[1], freqs[2]), (bws[0], bws[1], bws[2])
+
+
+def lpc_formants(samples: np.ndarray, sample_rate: int, order: int = LPC_ORDER) -> Formants:
+    """lpc_frames of one window."""
+    return lpc_frames(np.asarray(samples)[None, :], sample_rate, order)[0]
 
 
 def _hz_to_mel(f):
@@ -597,29 +701,45 @@ def _mel_filterbank(sample_rate: int, nfft: int, n_filters: int) -> np.ndarray:
     return fb
 
 
+def mfcc_frames(
+    frames: np.ndarray,
+    sample_rate: int,
+    n_coeffs: int = N_CEPSTRA,
+    n_filters: int = N_MEL_FILTERS,
+) -> np.ndarray:
+    """Mel cepstra c1..c8 of each row of a (rows, n) block.
+
+    Pipeline: pre-emphasis 0.97, Hamming window, power spectrum on the next
+    power-of-two FFT, 26 triangular mel filters over 0..Nyquist, log with an
+    absolute floor of 1e-10, orthonormal DCT-II. c0 is dropped because it
+    only restates the energy measure. Rows equal mfcc of each row alone.
+    """
+    x = preemphasize(frames)
+    rows, n = x.shape
+    if n == 0:
+        raise InputError("mfcc needs a non-empty window")
+    w = x * _hamming(n)
+    nfft = max(1 << int(n - 1).bit_length(), 64)
+    power = np.abs(rfft(w, nfft)) ** 2
+    fb = _mel_filterbank(sample_rate, nfft, n_filters)
+    energies = np.empty((rows, n_filters))
+    # one matrix-vector product per row: a matrix product over the block
+    # (power @ fb.T) does not give the same bits
+    for i in range(rows):
+        energies[i] = fb @ power[i]
+    np.maximum(energies, MEL_LOG_FLOOR, out=energies)
+    ceps = dct(np.log(energies), type=2, norm="ortho")
+    return ceps[:, 1 : n_coeffs + 1]
+
+
 def mfcc(
     samples: np.ndarray,
     sample_rate: int,
     n_coeffs: int = N_CEPSTRA,
     n_filters: int = N_MEL_FILTERS,
 ) -> np.ndarray:
-    """Mel cepstra c1..c8 of one window.
-
-    Pipeline: pre-emphasis 0.97, Hamming window, power spectrum on the next
-    power-of-two FFT, 26 triangular mel filters over 0..Nyquist, log with an
-    absolute floor of 1e-10, orthonormal DCT-II. c0 is dropped because it
-    only restates the energy measure.
-    """
-    x = preemphasize(samples)
-    if x.size == 0:
-        raise InputError("mfcc needs a non-empty window")
-    w = x * _hamming(x.size)
-    nfft = max(1 << int(x.size - 1).bit_length(), 64)
-    power = np.abs(rfft(w, nfft)) ** 2
-    fb = _mel_filterbank(sample_rate, nfft, n_filters)
-    energies = np.maximum(fb @ power, MEL_LOG_FLOOR)
-    ceps = dct(np.log(energies), type=2, norm="ortho")
-    return ceps[1 : n_coeffs + 1]
+    """mfcc_frames of one window."""
+    return mfcc_frames(np.asarray(samples)[None, :], sample_rate, n_coeffs, n_filters)[0]
 
 
 def analyze_prosody_window(
@@ -638,41 +758,69 @@ def analyze_prosody_window(
     )
 
 
+def quality_windows(
+    windows: Sequence[np.ndarray],
+    sample_rate: int,
+    centers: Sequence[float],
+    f0: Sequence[float | None],
+) -> list[QualityWindow]:
+    """Perturbation and HNR of windows whose F0 is already known.
+
+    A window without a usable F0 (unvoiced) yields all-None measures. Cycles
+    are marked window by window; the HNR of the voiced windows comes from
+    one harmonicity_frames call.
+    """
+    voiced = [i for i, f in enumerate(f0) if f is not None]
+    hnr = iter(
+        harmonicity_frames([windows[i] for i in voiced], [f0[i] for i in voiced], sample_rate)
+    )
+    out = []
+    for x, center, f in zip(windows, centers, f0):
+        if f is None:
+            out.append(QualityWindow(center, None, None, None, None, None))
+            continue
+        cycles = mark_cycles(x, f, sample_rate)
+        if cycles is None:
+            pert = PerturbationMeasures(None, None, None, None)
+        else:
+            pert = jitter_shimmer(*cycles)
+        out.append(
+            QualityWindow(
+                center=center,
+                jitter_local=pert.jitter_local,
+                jitter_ppq5=pert.jitter_ppq5,
+                shimmer_local=pert.shimmer_local,
+                shimmer_apq5=pert.shimmer_apq5,
+                harmonicity_db=next(hnr),
+            )
+        )
+    return out
+
+
 def analyze_quality_window(
     samples: np.ndarray,
     sample_rate: int,
     center: float,
     f0: float | None,
 ) -> QualityWindow:
-    """Perturbation and HNR for a window whose F0 is already known.
+    """quality_windows of one window."""
+    return quality_windows([samples], sample_rate, [center], [f0])[0]
 
-    A window without a usable F0 (unvoiced) yields all-None measures.
-    """
-    if f0 is None:
-        return QualityWindow(center, None, None, None, None, None)
-    cycles = mark_cycles(samples, f0, sample_rate)
-    if cycles is None:
-        pert = PerturbationMeasures(None, None, None, None)
-    else:
-        pert = jitter_shimmer(*cycles)
-    return QualityWindow(
-        center=center,
-        jitter_local=pert.jitter_local,
-        jitter_ppq5=pert.jitter_ppq5,
-        shimmer_local=pert.shimmer_local,
-        shimmer_apq5=pert.shimmer_apq5,
-        harmonicity_db=harmonicity_db(samples, f0, sample_rate),
-    )
+
+def spectral_windows(
+    frames: np.ndarray, sample_rate: int, centers: Sequence[float]
+) -> list[SpectralWindow]:
+    """Formants, bandwidths and mel cepstra of each row of a (rows, n) block."""
+    formants = lpc_frames(frames, sample_rate)
+    ceps = mfcc_frames(frames, sample_rate).tolist()
+    return [
+        SpectralWindow(center, f, b, tuple(c))
+        for center, (f, b), c in zip(centers, formants, ceps)
+    ]
 
 
 def analyze_spectral_window(
     samples: np.ndarray, sample_rate: int, center: float
 ) -> SpectralWindow:
-    formants, bandwidths = lpc_formants(samples, sample_rate)
-    ceps = mfcc(samples, sample_rate)
-    return SpectralWindow(
-        center=center,
-        formants=formants,
-        bandwidths=bandwidths,
-        cepstra=tuple(float(c) for c in ceps),
-    )
+    """spectral_windows of one window."""
+    return spectral_windows(np.asarray(samples)[None, :], sample_rate, [center])[0]

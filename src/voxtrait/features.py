@@ -215,8 +215,12 @@ def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> 
     the vowel, spectral measures over a spectral_window. A result is None
     when the clip edge cuts its window below one frame (prosody, quality)
     or below the full window (spectral). The F0 subframes of all prosody
-    windows are pitch-tracked together, in blocks over the whole clip; each
-    ProsodyWindow equals analyze_prosody_window of its window.
+    windows are pitch-tracked together, in blocks over the whole clip. Voice
+    quality and spectral measures then run over blocks of vowels, each
+    sized by acoustics.quality_block_rows to the NCC_BLOCK_BYTES budget (16
+    vowels at the defaults), so their working memory does not grow with the
+    clip. Each result equals analyze_prosody_window, analyze_quality_window
+    or analyze_spectral_window of its window.
     """
     x = clip.samples
     rate = clip.sample_rate
@@ -226,21 +230,33 @@ def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> 
     spans = [_span(x.size, rate, v.center, cfg.prosody_window) for v in stressed]
     # a window cut below one frame is not measured: it keeps an empty span
     spans = [(lo, hi) if hi - lo >= flen_min else (lo, lo) for lo, hi in spans]
-    for vowel, (lo, hi), track in zip(stressed, spans, _f0_tracks(x, rate, spans, cfg)):
-        prosody = quality = spectral = None
-        if hi > lo:
-            pros_samples = x[lo:hi]
-            prosody = acoustics.ProsodyWindow(
-                vowel.center, track, acoustics.intensity_db(pros_samples)
-            )
-            voiced = prosody.voiced_f0
-            f0_med = float(np.median(voiced)) if voiced else None
-            quality = acoustics.analyze_quality_window(pros_samples, rate, vowel.center, f0_med)
-        spec_lo, spec_hi = _span(x.size, rate, vowel.center, cfg.spectral_window)
-        if spec_hi - spec_lo >= spectral_len:
-            spec_samples = x[spec_lo:spec_hi]
-            spectral = acoustics.analyze_spectral_window(spec_samples, rate, vowel.center)
-        yield vowel, prosody, quality, spectral
+    # start of each full spectral window; None where the clip edge cuts it
+    spectral_starts = [
+        lo if hi - lo >= spectral_len else None
+        for lo, hi in (_span(x.size, rate, v.center, cfg.spectral_window) for v in stressed)
+    ]
+    tracks = _f0_tracks(x, rate, spans, cfg)
+    rows = acoustics.quality_block_rows(int(round(cfg.prosody_window * rate)), rate, cfg.f0_floor)
+    for a in range(0, len(stressed), rows):
+        block = range(a, min(a + rows, len(stressed)))
+        prosody = {}
+        for i in block:
+            track = next(tracks)
+            lo, hi = spans[i]
+            if hi > lo:
+                intensity = acoustics.intensity_db(x[lo:hi])
+                prosody[i] = acoustics.ProsodyWindow(stressed[i].center, track, intensity)
+        windows = [x[slice(*spans[i])] for i in prosody]
+        centers = [pw.center for pw in prosody.values()]
+        f0 = [float(np.median(pw.voiced_f0)) if pw.voiced_f0 else None for pw in prosody.values()]
+        quality = dict(zip(prosody, acoustics.quality_windows(windows, rate, centers, f0)))
+        full = [i for i in block if spectral_starts[i] is not None]
+        starts = np.array([spectral_starts[i] for i in full], dtype=np.intp)
+        frames = x[starts[:, None] + np.arange(spectral_len)]
+        centers = [stressed[i].center for i in full]
+        spectral = dict(zip(full, acoustics.spectral_windows(frames, rate, centers)))
+        for i in block:
+            yield stressed[i], prosody.get(i), quality.get(i), spectral.get(i)
 
 
 def extract_features(

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from scipy.fft import dct, irfft, rfft
 from scipy.signal import lfilter, upfirdn
 from scipy.stats import f as f_dist
 from scipy.stats import t as t_dist
@@ -26,7 +26,21 @@ from voxtrait.acoustics import (
     _TINY,
     F0_CEILING_HZ,
     F0_FLOOR_HZ,
+    FORMANT_MARGIN_HZ,
+    HNR_MAX_DB,
+    HNR_MIN_DB,
+    LPC_ORDER,
+    MAX_FORMANT_BANDWIDTH_HZ,
+    MEL_LOG_FLOOR,
+    N_CEPSTRA,
+    N_MEL_FILTERS,
+    PREEMPHASIS,
     VOICING_THRESHOLD,
+    _clamp,
+    _hamming,
+    _levinson,
+    _mel_filterbank,
+    ncc_curve,
     pitch_lags,
     subframe_grid,
 )
@@ -967,9 +981,9 @@ def synthesize_vowel_reference(
 
 # The acoustics kernels as they were before their per-call overhead was cut:
 # ncc_frames with np.where and a clipped copy, _parabolic through np.clip,
-# _pick_peak with np.arange fancy indexing and _ppq5 with one np.mean per
-# cycle. Kept verbatim (this _pick_peak calls this _parabolic); the
-# constants are the package's own.
+# _pick_peak with np.arange fancy indexing, _ppq5 with one np.mean per
+# cycle and _local_perturbation with np.mean. Kept verbatim (this _pick_peak
+# calls this _parabolic); the constants are the package's own.
 
 
 def ncc_frames(frames: np.ndarray, max_lag: int) -> np.ndarray:
@@ -1082,3 +1096,140 @@ def _ppq5(values: np.ndarray) -> float | None:
         for i in range(2, values.size - 2)
     ]
     return float(np.mean(devs)) / mean
+
+
+def _local_perturbation(values: np.ndarray) -> float | None:
+    if values.size < 2:
+        return None
+    mean = float(np.mean(values))
+    if mean <= 0:
+        return None
+    return float(np.mean(np.abs(np.diff(values)))) / mean
+
+
+# The one-window HNR, LPC formant and mel-cepstrum code as it was before the
+# voice-quality and spectral windows of a recording were measured in blocks:
+# one ncc_curve call per HNR window, one np.roots call per LPC polynomial and
+# one rfft, log and dct per window. Kept verbatim, with preemphasize in its
+# 1-D form and _parabolic from the copy above; ncc_curve, _clamp, _levinson,
+# _hamming, _mel_filterbank and the constants are the package's own.
+
+
+def harmonicity_db(samples: np.ndarray, f0: float, sample_rate: int) -> float | None:
+    """Harmonics-to-noise ratio from the autocorrelation at the pitch lag.
+
+    HNR = 10 log10(r / (1 - r)), clamped to [-20, +40] dB. None when the
+    window is too short to evaluate the pitch lag.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if f0 <= 0:
+        raise InputError("f0 must be positive")
+    lag = sample_rate / f0
+    hi = int(math.ceil(lag)) + 2
+    if x.size < hi + _MIN_OVERLAP:
+        return None
+    curve = ncc_curve(x, hi)
+    lo = max(2, int(math.floor(lag)) - 2)
+    if lo >= curve.size:
+        return None
+    hi_c = min(hi, curve.size - 1)
+    idx = lo + int(np.argmax(curve[lo : hi_c + 1]))
+    r = float(curve[idx])
+    # fractional pitch lags push the true correlation peak between integer
+    # lags; refine the peak value or a clean tone cannot reach the clamp
+    if 1 <= idx < curve.size - 1:
+        vertex = _parabolic(curve[idx - 1], curve[idx], curve[idx + 1])
+        if vertex is not None:
+            r = vertex[1]
+    if r <= 0.0:
+        return HNR_MIN_DB
+    if r >= 1.0:
+        return HNR_MAX_DB
+    hnr = 10.0 * math.log10(r / (1.0 - r))
+    return _clamp(hnr, HNR_MIN_DB, HNR_MAX_DB)
+
+
+def preemphasize(samples: np.ndarray, coeff: float = PREEMPHASIS) -> np.ndarray:
+    x = np.asarray(samples, dtype=np.float64)
+    if x.size == 0:
+        return x.copy()
+    out = np.empty_like(x)
+    out[0] = x[0]
+    out[1:] = x[1:] - coeff * x[:-1]
+    return out
+
+
+def lpc_formants(
+    samples: np.ndarray,
+    sample_rate: int,
+    order: int = LPC_ORDER,
+) -> tuple[
+    tuple[float | None, float | None, float | None],
+    tuple[float | None, float | None, float | None],
+]:
+    """First three formant frequencies and bandwidths from LPC root angles.
+
+    Pre-emphasized, Hamming-windowed autocorrelation LPC of the given order.
+    Complex roots map to frequency angle(z) * rate / 2pi and bandwidth
+    -(rate/pi) * ln|z|; candidates must lie 50 Hz inside (0, Nyquist) with
+    bandwidth under 700 Hz. Missing slots are None, never fabricated.
+    """
+    x = preemphasize(samples)
+    n = x.size
+    empty = ((None, None, None), (None, None, None))
+    if n <= order + 1:
+        return empty
+    w = x * _hamming(n)
+    r = np.array([float(np.dot(w[: n - k], w[k:])) for k in range(order + 1)])
+    if r[0] <= 0:
+        return empty
+    r[0] *= 1.0 + 1e-9  # hair of ridge regularization
+    a = _levinson(r, order)
+    if a is None:
+        return empty
+    roots = np.roots(a)
+    roots = roots[np.imag(roots) > 0]
+    cands = []
+    for z in roots:
+        mag = abs(z)
+        if mag <= 0 or mag >= 1.0:
+            continue
+        freq = math.atan2(z.imag, z.real) * sample_rate / (2.0 * math.pi)
+        bw = -(sample_rate / math.pi) * math.log(mag)
+        if (
+            FORMANT_MARGIN_HZ < freq < sample_rate / 2 - FORMANT_MARGIN_HZ
+            and 0 < bw < MAX_FORMANT_BANDWIDTH_HZ
+        ):
+            cands.append((freq, bw))
+    cands.sort()
+    freqs: list[float | None] = [None, None, None]
+    bws: list[float | None] = [None, None, None]
+    for i, (freq, bw) in enumerate(cands[:3]):
+        freqs[i] = freq
+        bws[i] = bw
+    return (freqs[0], freqs[1], freqs[2]), (bws[0], bws[1], bws[2])
+
+
+def mfcc(
+    samples: np.ndarray,
+    sample_rate: int,
+    n_coeffs: int = N_CEPSTRA,
+    n_filters: int = N_MEL_FILTERS,
+) -> np.ndarray:
+    """Mel cepstra c1..c8 of one window.
+
+    Pipeline: pre-emphasis 0.97, Hamming window, power spectrum on the next
+    power-of-two FFT, 26 triangular mel filters over 0..Nyquist, log with an
+    absolute floor of 1e-10, orthonormal DCT-II. c0 is dropped because it
+    only restates the energy measure.
+    """
+    x = preemphasize(samples)
+    if x.size == 0:
+        raise InputError("mfcc needs a non-empty window")
+    w = x * _hamming(x.size)
+    nfft = max(1 << int(x.size - 1).bit_length(), 64)
+    power = np.abs(rfft(w, nfft)) ** 2
+    fb = _mel_filterbank(sample_rate, nfft, n_filters)
+    energies = np.maximum(fb @ power, MEL_LOG_FLOOR)
+    ceps = dct(np.log(energies), type=2, norm="ortho")
+    return ceps[1 : n_coeffs + 1]

@@ -14,28 +14,38 @@ from voxtrait.acoustics import (
     F0_FLOOR_HZ,
     HNR_MAX_DB,
     HNR_MIN_DB,
+    PREEMPHASIS,
     _clamp,
     _mel_filterbank,
     _parabolic,
+    _hnr_lags,
     _hz_to_mel,
+    _levinson,
+    _local_perturbation,
+    _ncc_size,
     _pick_peak,
     _pick_peaks,
     _ppq5,
     _mel_to_hz,
+    _roots,
     estimate_f0,
     f0_frames,
     f0_once,
     f0_track,
     harmonicity_db,
+    harmonicity_frames,
     intensity_db,
     jitter_shimmer,
     lpc_formants,
+    lpc_frames,
     mark_cycles,
     mfcc,
+    mfcc_frames,
     ncc_curve,
     ncc_frames,
     pitch_lags,
     preemphasize,
+    spectral_windows,
     subframe_grid,
 )
 from voxtrait.errors import InputError
@@ -430,6 +440,142 @@ def test_ppq5_equals_the_reference_copy(values, scale):
 
 
 @settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(-0.2, 2.0), min_size=1, max_size=40),
+    scale=st.sampled_from([1e-5, 1e-3, 0.0123, 1.0, 20.0]),
+)
+def test_local_perturbation_equals_the_reference_copy(values, scale):
+    x = np.asarray(values) * scale
+    assert _local_perturbation(x) == oracles._local_perturbation(x)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
 def test_parabolic_equals_the_reference_copy(points):
     assert _parabolic(*points) == oracles._parabolic(*points)
+
+
+# The block functions of the voice-quality and spectral windows against the
+# one-window copies in oracles.py, bit for bit.
+
+
+def _hnr_nfft(n: int, f0: float) -> int:
+    return _ncc_size(n, int(_hnr_lags(RATE, np.float64(f0))[1]))[1]
+
+
+def test_harmonicity_frames_equal_the_one_window_copy():
+    # At 882 samples (80 ms) F0s below about 79.3 Hz put the HNR NCC at
+    # nfft 2048 and the others at 1024, so this block straddles the two
+    # FFT sizes. Shorter windows are cut at the clip edge; the 156-sample
+    # one is one sample too short for the 75 Hz lag and the 40-sample one
+    # for every lag here. One row is silent.
+    rng = np.random.default_rng(12)
+    cases = [(882, f) for f in (75.0, 200.0, 78.0, 79.5, 80.0, 140.0, 76.3, 500.0, 110.0)]
+    cases += [(882, 11025 / 147), (600, 75.0), (600, 300.0), (157, 75.0), (156, 75.0)]
+    cases += [(40, 120.0), (300, 90.0)]
+    windows = [
+        _harmonic(f, n) * rng.uniform(0.01, 1.0) + rng.uniform(0.0, 0.5) * rng.standard_normal(n)
+        for n, f in cases
+    ]
+    windows[5] = np.zeros(882)
+    f0 = [f for _, f in cases]
+    want = [oracles.harmonicity_db(x, f, RATE) for x, f in zip(windows, f0)]
+    assert {_hnr_nfft(882, f) for f in f0[:9]} == {1024, 2048}
+    assert want[13] is None and want[14] is None and want[12] is not None
+    assert want[5] == HNR_MIN_DB
+    assert harmonicity_frames(windows, f0, RATE) == want
+    assert [harmonicity_db(x, f, RATE) for x, f in zip(windows, f0)] == want
+    assert harmonicity_frames([], [], RATE) == []
+    with pytest.raises(InputError):
+        harmonicity_frames(windows[:2], [120.0, 0.0], RATE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 20),
+    zeros=st.sampled_from(["none", "head", "tail", "rows"]),
+)
+def test_harmonicity_frames_equal_the_one_window_copy_on_random_blocks(seed, rows, zeros):
+    rng = np.random.default_rng(seed)
+    block = _windows(seed, rows, 882, zeros)
+    windows = [row[: rng.choice([882, 882, 700, 200, 150])] for row in block]
+    f0 = rng.uniform(75.0, 500.0, rows).tolist()
+    want = [oracles.harmonicity_db(x, f, RATE) for x, f in zip(windows, f0)]
+    assert harmonicity_frames(windows, f0, RATE) == want
+
+
+def _lpc_poly(row: np.ndarray) -> np.ndarray | None:
+    """The Levinson polynomial lpc_formants fits to one window, or None."""
+    n = row.size
+    w = preemphasize(row) * np.hamming(n)
+    r = np.array([float(np.dot(w[: n - k], w[k:])) for k in range(13)])
+    if r[0] <= 0:
+        return None
+    r[0] *= 1.0 + 1e-9
+    return _levinson(r, 12)
+
+
+def _spectral_block(n: int, seed: int) -> np.ndarray:
+    """Vowels and noise, with a silent row, a row whose Levinson recursion
+    fails (a sine at a subnormal scale) and a row whose LPC polynomial has a
+    zero trailing coefficient (one impulse once pre-emphasized)."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        synthesize_vowel(RATE, f0, (700.0, 1200.0, 2600.0), (130.0, 70.0, 160.0), n, rng)
+        for f0 in (90.0, 150.0, 230.0)
+    ]
+    rows += [rng.standard_normal(n), np.zeros(n), 1e-160 * np.sin(0.3 * np.arange(n))]
+    impulse = np.zeros(n)
+    impulse[n // 3] = 0.5
+    for t in range(n // 3 + 1, n):
+        impulse[t] = PREEMPHASIS * impulse[t - 1]
+    rows.append(impulse)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("n", [441, 512, 200, 14, 13, 1])
+def test_spectral_frames_equal_the_one_window_copies(n):
+    block = _spectral_block(n, n)
+    if n == 441:
+        polys = [_lpc_poly(row) for row in block]
+        assert polys[4] is None  # silent: r[0] is 0
+        assert polys[5] is None and block[5].any()  # the recursion fails
+        assert polys[6][-1] == 0.0 and polys[0][-1] != 0.0
+    want = [oracles.lpc_formants(row, RATE) for row in block]
+    assert lpc_frames(block, RATE) == want
+    assert [lpc_formants(row, RATE) for row in block] == want
+    ceps = mfcc_frames(block, RATE)
+    for row, got in zip(block, ceps):
+        assert np.array_equal(got, oracles.mfcc(row, RATE))
+        assert np.array_equal(mfcc(row, RATE), got)
+    centers = [0.1 * i for i in range(len(block))]
+    windows = spectral_windows(block, RATE, centers)
+    assert [(w.formants, w.bandwidths) for w in windows] == want
+    assert [w.cepstra for w in windows] == [tuple(c) for c in ceps.tolist()]
+    assert [w.center for w in windows] == centers
+
+
+def test_spectral_frames_of_no_rows():
+    empty = np.zeros((0, 441))
+    assert lpc_frames(empty, RATE) == []
+    assert mfcc_frames(empty, RATE).shape == (0, 8)
+    assert spectral_windows(empty, RATE, []) == []
+    with pytest.raises(InputError):
+        mfcc_frames(np.zeros((2, 0)), RATE)
+
+
+def test_roots_equal_np_roots():
+    # a stacked companion-matrix eigenvalue call, except for polynomials
+    # that np.roots trims (zero trailing coefficients), which it runs alone
+    rng = np.random.default_rng(8)
+    polys = [np.concatenate(([1.0], rng.uniform(-1.0, 1.0, 12))) for _ in range(6)]
+    polys[1][-1] = 0.0
+    polys[3][-3:] = 0.0
+    polys[4] = np.concatenate(([1.0], np.zeros(12)))
+    polys[5] = np.poly([0.5, -0.25, 0.125, 0.9, -0.8, 0.3, 0.2, -0.1, 0.6, 0.7, -0.6, 0.4])
+    got = _roots(polys)
+    assert len(got) == len(polys)
+    for a, roots in zip(polys, got):
+        assert np.array_equal(roots, np.roots(a))
+    assert _roots([]) == []

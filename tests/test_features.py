@@ -32,6 +32,7 @@ from voxtrait.segmentation import (
 )
 from voxtrait.synth import generate_corpus, synthesize_vowel
 
+import oracles
 from oracles import extract_features_reference
 
 
@@ -147,12 +148,40 @@ def _assert_prosody_windows_are_per_window(clip, seg, cfg):
     return measured
 
 
+def _assert_windows_equal_the_one_window_copies(clip, seg, cfg):
+    # each quality and spectral window equals the one-window HNR, LPC and
+    # mel-cepstrum code kept in oracles.py, and analyze_*_window of its window
+    x, rate = clip.samples, clip.sample_rate
+    n = int(round(cfg.prosody_window * rate))
+    n_spec = int(round(cfg.spectral_window * rate))
+    measured = _assert_prosody_windows_are_per_window(clip, seg, cfg)
+    for vowel, prosody, quality, spectral in measured:
+        center = int(round(vowel.center * rate))
+        if prosody is None:
+            assert quality is None
+        else:
+            window = x[max(center - n // 2, 0) :][:n]
+            voiced = prosody.voiced_f0
+            f0 = float(np.median(voiced)) if voiced else None
+            hnr = None if f0 is None else oracles.harmonicity_db(window, f0, rate)
+            assert quality.harmonicity_db == hnr
+            assert quality == acoustics.analyze_quality_window(window, rate, vowel.center, f0)
+        window = x[max(center - n_spec // 2, 0) :][:n_spec]
+        if window.size < n_spec:
+            assert spectral is None
+        else:
+            assert (spectral.formants, spectral.bandwidths) == oracles.lpc_formants(window, rate)
+            assert spectral.cepstra == tuple(oracles.mfcc(window, rate).tolist())
+            assert spectral == acoustics.analyze_spectral_window(window, rate, vowel.center)
+    return measured
+
+
 def test_extract_features_equals_reference_loop(corpus):
     cfg = RunConfig()
     for clip in _corpus_clips(corpus):
         seg = segment_clip(clip, cfg)
         assert extract_features(clip, cfg, seg) == extract_features_reference(clip, cfg, seg)
-        _assert_prosody_windows_are_per_window(clip, seg, cfg)
+        _assert_windows_equal_the_one_window_copies(clip, seg, cfg)
 
 
 def test_measure_vowels_at_the_clip_edge(corpus):
@@ -169,7 +198,59 @@ def test_measure_vowels_at_the_clip_edge(corpus):
     assert measured[-2][1] is not None and measured[-2][3] is None
     assert measured[-1][1:] == (None, None, None)
     assert extract_features(short, cfg, seg) == extract_features_reference(short, cfg, seg)
-    _assert_prosody_windows_are_per_window(short, seg, cfg)
+    _assert_windows_equal_the_one_window_copies(short, seg, cfg)
+
+
+def test_measure_vowels_without_stressed_vowels(corpus):
+    cfg = RunConfig()
+    clip = next(_corpus_clips(corpus))
+    seg = segment_clip(clip, cfg)
+    unstressed = SegmentationResult(
+        tuple(VowelSegment(v.start, v.end) for v in seg.vowels), seg.pauses, seg.total_duration
+    )
+    assert list(measure_vowels(clip, unstressed, cfg)) == []
+    got = extract_features(clip, cfg, unstressed)
+    assert got == extract_features_reference(clip, cfg, unstressed)
+    assert got["harmonicity"] is None and got["f1"] is None and got["cep1"] is None
+
+
+_QUALITY_ROWS = acoustics.quality_block_rows(882, 11025, acoustics.F0_FLOOR_HZ)
+
+
+@pytest.mark.parametrize(
+    "windows", [_QUALITY_ROWS - 1, _QUALITY_ROWS, _QUALITY_ROWS + 1, 2 * _QUALITY_ROWS + 3]
+)
+def test_quality_and_spectral_windows_across_block_boundaries(windows):
+    # Vowels at F0s from 76 to 220 Hz, so that each block's HNR runs at both
+    # NCC sizes (nfft 2048 below about 79.3 Hz at 80 ms, else 1024), with a
+    # stressed vowel every 60 ms. The clip ends 15 ms past the last center,
+    # so the last prosody window is cut at the edge and the last spectral
+    # window is cut below its full length.
+    cfg = RunConfig()
+    rate = cfg.sample_rate
+    rng = np.random.default_rng(windows)
+    f0s = (76.0, 200.0, 120.0, 78.0, 220.0, 150.0)
+    step = int(0.060 * rate)
+    audio = np.concatenate(
+        [
+            synthesize_vowel(rate, f0s[i % 6], (700.0, 1200.0, 2600.0), (80.0, 90.0, 120.0),
+                             step, rng)
+            for i in range(windows + 1)
+        ]
+    )
+    centers = [0.03 + 0.06 * i for i in range(windows)]
+    x = audio[: int(round((centers[-1] + 0.015) * rate))]
+    seg = SegmentationResult(
+        tuple(VowelSegment(c - 0.01, c + 0.01, stressed=True) for c in centers), (), x.size / rate
+    )
+    clip = AudioClip(x, rate)
+    measured = _assert_windows_equal_the_one_window_copies(clip, seg, cfg)
+    assert len(measured) == windows
+    assert len(measured[-1][1].f0_track) < 6 and measured[-1][3] is None
+    assert measured[-2][3] is not None
+    hnr_f0 = [float(np.median(p.voiced_f0)) for _, p, _, _ in measured if p.voiced_f0]
+    assert min(hnr_f0) < 79.0 < max(hnr_f0)
+    assert extract_features(clip, cfg, seg) == extract_features_reference(clip, cfg, seg)
 
 
 _SUBFRAME_ROWS = acoustics.ncc_block_rows(
@@ -236,9 +317,11 @@ def test_measure_vowels_memory_does_not_grow_with_clip_length(corpus):
 
 
 def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):
-    # The benchmark fingerprint records acoustics.ncc_curve_calls: one call
-    # per measured window, for HNR. The 25 ms subframes of the 80 ms prosody
-    # windows (6 each) go through ncc_frames as one block for the clip.
+    # The benchmark fingerprint records acoustics.ncc_curve_calls, which the
+    # measured windows no longer make. The 25 ms subframes of the 80 ms
+    # prosody windows (6 each) go through ncc_frames as one block for the
+    # clip, and the HNR of the windows as one more: their F0s all put the
+    # HNR NCC at one FFT size.
     rate = 11025
     rng = np.random.default_rng(4)
     silence = np.zeros(int(0.3 * rate))
@@ -273,8 +356,8 @@ def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):
     assert subframes == 6
     assert len(measured) == math.ceil(len(seg.vowels) / 2) >= 2
     assert all(len(p.f0_track) == subframes and p.voiced_f0 for _, p, _, _ in measured)
-    assert len(calls) == len(measured)
-    assert blocks == [subframes * len(measured)]
+    assert calls == []
+    assert blocks == [subframes * len(measured), len(measured)]
 
 
 def test_corpus_extraction_fills_every_descriptor(extracted):
