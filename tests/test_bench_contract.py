@@ -7,7 +7,8 @@ name up. Another runs one pass of the `corpus` and `table` workloads with
 their per-operation correctness checks, which a benchmark run also applies,
 and pins the seed-7 `corpus` digests; a third checks that two `table`
 passes in one process give the same digests, as a benchmark run checks
-across its passes, and pins the seed-7 `table` digests themselves.
+across its passes, and pins the seed-7 `table` digests themselves; a
+fourth pins the seed-11 `table` digests.
 """
 
 import importlib.util
@@ -88,4 +89,19 @@ def test_table_passes_give_equal_digests(tmp_path):
     assert first == {
         "merged_arrows_csv": "f818ebbe6daa992ca5c414654b6956eee44a5c215f6861d0e6ee23a85cd0d801",
         "models_json": "4e62783f325f18a98415b52d4dd908961a4696457c9732bc8ed7bbfba77167bf",
+    }
+
+
+def test_table_seed_11_digests_are_pinned(tmp_path):
+    # a second table, so that a change of bits the seed-7 models happen not
+    # to show still changes a pinned digest
+    workloads = _bench_module("workloads")
+    tracing = _bench_module("tracing")
+    table = workloads.Table(str(tmp_path), 11)
+    rec = tracing.Recorder()
+    digests = table.digests(table.run_pass(rec))
+    assert [(op.op_id, op.errors) for op in rec.ops if not op.ok] == []
+    assert digests == {
+        "merged_arrows_csv": "e68ddd8d16881978fae046e92ec6016d57a98ef95fc29faff09a454bd90910fc",
+        "models_json": "a052413d9837b3e081c7dd592f3329890975f8927bf2735f3e28cc0fade8c268",
     }
