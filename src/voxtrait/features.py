@@ -83,6 +83,9 @@ class FeatureVector:
             raise InputError(f"unknown feature names: {sorted(unknown)}")
         full = {name: self.values.get(name) for name in FEATURE_NAMES}
         object.__setattr__(self, "values", full)
+        # built once, as the vector is frozen; as_array hands out copies
+        array = np.array([np.nan if v is None else v for v in full.values()])
+        object.__setattr__(self, "_array", array)
 
     def __getitem__(self, name: str) -> float | None:
         if name not in FEATURE_NAMES:
@@ -94,9 +97,7 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         """Values in canonical order with NaN for absent."""
-        return np.array(
-            [np.nan if self.values[n] is None else self.values[n] for n in FEATURE_NAMES]
-        )
+        return self._array.copy()
 
 
 @dataclass(frozen=True)

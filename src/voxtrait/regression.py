@@ -52,6 +52,8 @@ _COLLINEAR_TOL = 1e-10
 # standardized in place, and their Gram matrices. Working memory stays
 # near this whatever the number of speakers.
 LOOCV_BLOCK_BYTES = 2 << 20
+# Bytes of squared deviations _column_stats holds at a time.
+SPREAD_CHUNK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,19 @@ def _column_stats(
     # can round to a tiny nonzero value (19 copies of 0.1 give 1.4e-17)
     varies = Xs.max(axis=2) > Xs.min(axis=2)
     mean = Xs.mean(axis=2)
-    std = np.array([x.std(axis=1, ddof=1) for x in Xs])  # a fold's temporary at a time
+    # np.std's own arithmetic, a chunk of folds at a time: the squared
+    # deviations from `mean`, summed, / (m - 1), sqrt. The deviations keep
+    # Xs's memory order, so each column sums in the order np.std sums it.
+    folds, p, m = Xs.shape
+    std = np.empty(mean.shape)
+    step = max(1, SPREAD_CHUNK_BYTES // max(8 * p * m, 1))
+    for start in range(0, folds, step):
+        chunk = slice(start, start + step)
+        dev = Xs[chunk] - mean[chunk, :, None]
+        dev *= dev
+        dev.sum(axis=2, out=std[chunk])
+    std /= max(m - 1, 0)
+    np.sqrt(std, out=std)
     # At tiny scales (about 1e-170) the squared deviations underflow and a
     # varying column's std comes out 0; those columns, and only those, are
     # measured again after scaling by their largest magnitude.
@@ -184,6 +198,16 @@ def _take(a: np.ndarray, rows: np.ndarray, cols: np.ndarray | None = None) -> np
     return out if cols is None else out.take(cols, axis=2)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[f] @ b[f] for each row f of two (folds, L) stacks, bit for bit.
+
+    A stacked matmul whose core is 1 x L by L x 1 calls the same BLAS dot,
+    with the same strides, as the 1-D product; a stacked reduction such as
+    einsum sums in another order.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _forward_scan(
     G: np.ndarray,
     gy: np.ndarray,
@@ -226,8 +250,7 @@ def _forward_scan(
                 except np.linalg.LinAlgError:
                     live[f] = False
         beta_s = sol[..., -1]
-        # per-fold 1-D dots: a stacked reduction sums in another order
-        rss = np.array([s - float(g @ b) for s, g, b in zip(syy, gys, beta_s)])
+        rss = syy - _dots(gys, beta_s)
         d = Gcc - np.einsum("fij,fij->fj", Gsc, sol[..., :-1])
         num = _take(gy, candidates) - np.matmul(Gsc.transpose(0, 2, 1), beta_s[..., None])[..., 0]
     else:
@@ -263,7 +286,8 @@ def _ols_stats(
     Ginv = np.linalg.inv(_take(G, sel, sel))
     gys = _take(gy, sel)
     beta = np.matmul(Ginv, gys[..., None])[..., 0]
-    rss = np.array([max(s - float(g @ b), 0.0) for s, g, b in zip(syy, gys, beta)])
+    rss = syy - _dots(gys, beta)
+    rss = np.where(rss < 0.0, 0.0, rss)  # max(rss, 0.0): np.maximum makes -0.0 0.0
     df = n - len(selected) - 1
     if df < 1:
         return beta, rss, np.zeros(beta.shape)
@@ -417,12 +441,11 @@ def _gram(ZT: np.ndarray, zy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """(G, gy, syy) of each fold of the standardized (folds, p, n) stack ZT.
 
     Per fold these are Z.T @ Z, Z.T @ zy and zy @ zy of its (n, p) Z, by
-    the same BLAS calls; syy stays a 1-D dot per fold, since a stacked
-    reduction sums in another order.
+    the same BLAS calls.
     """
     G = np.matmul(ZT, ZT.transpose(0, 2, 1))
     gy = np.matmul(ZT, zy[..., None])[..., 0]
-    return G, gy, np.array([float(v @ v) for v in zy])
+    return G, gy, _dots(zy, zy)
 
 
 def _fit_stack(
@@ -469,12 +492,20 @@ def _fit_stack(
 
 
 def _loo_rows(a: np.ndarray, folds: range) -> np.ndarray:
-    """(folds, cols, n - 1) stack of a's (n, cols) rows, each fold without its own."""
+    """(folds, cols, n - 1) stack of a's (n, cols) rows, each fold without its own.
+
+    folds is a range of step 1. The rows before and after it sit at the
+    same place in every fold and are copied once for all of them; each fold
+    then copies the rest of the block's rows.
+    """
     n, cols = a.shape
+    start, stop = folds.start, folds.stop
     out = np.empty((len(folds), cols, n - 1))
+    out[:, :, :start] = a[:start].T
+    out[:, :, stop - 1 :] = a[stop:].T
     for b, i in enumerate(folds):
-        out[b, :, :i] = a[:i].T
-        out[b, :, i:] = a[i + 1 :].T
+        out[b, :, start:i] = a[start:i].T
+        out[b, :, i : stop - 1] = a[i + 1 : stop].T
     return out
 
 
@@ -744,7 +775,7 @@ def load_model(path: str) -> RegressionModel:
     try:
         stability = _json_object(doc, "a model file").get("stability")
         standardization = _json_object(doc.get("standardization", {}), "standardization")
-        return RegressionModel(
+        model = RegressionModel(
             predictors=tuple(p["name"] for p in doc["predictors"]),
             betas=tuple(float(p["beta"]) for p in doc["predictors"]),
             train_r=float(doc["train_r"]),
@@ -761,8 +792,25 @@ def load_model(path: str) -> RegressionModel:
             text_uncertain=bool(doc.get("text_uncertain", False)),
             source=doc.get("source", "trained"),
         )
+        _check_scorable(model)
     except (KeyError, TypeError, ValueError) as exc:
         raise TableFormatError(f"{path}: malformed model file: {exc}") from exc
+    return model
+
+
+def _check_scorable(model: RegressionModel) -> None:
+    """ValueError unless every beta is finite and every predictor has a usable z-score.
+
+    json.load reads NaN and Infinity, so a model file can hold them.
+    """
+    for name in model.predictors:
+        if name not in model.standardization:
+            raise ValueError(f"predictor {name!r} has no standardization entry")
+    if not all(map(math.isfinite, model.betas)):
+        raise ValueError("every beta must be finite")
+    for name, (mean, std) in model.standardization.items():
+        if not (math.isfinite(mean) and math.isfinite(std) and std > 0.0):
+            raise ValueError(f"{name!r} needs a finite mean and a finite std > 0")
 
 
 def _json_object(obj, what: str) -> dict:

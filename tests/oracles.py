@@ -1233,3 +1233,44 @@ def mfcc(
     energies = np.maximum(fb @ power, MEL_LOG_FLOOR)
     ceps = dct(np.log(energies), type=2, norm="ortho")
     return ceps[1 : n_coeffs + 1]
+
+
+# _column_stats and _loo_rows as they stood before the column spread was
+# measured a chunk of folds at a time and the rows around a block were
+# copied once for all of its folds. Kept verbatim; _rescaled_std above is
+# the same function as the package's.
+
+
+def _column_stats(
+    Xs: np.ndarray, names: Sequence[str], live: np.ndarray, drop_constant: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(varies, mean, std) per column of each fold of the (folds, p, m) stack Xs.
+
+    In the `live` folds a column whose std is 0 or not finite raises
+    ConstantColumnError; with drop_constant, a constant column does not.
+    """
+    # max > min is the exact constant test: the std of a constant column
+    # can round to a tiny nonzero value (19 copies of 0.1 give 1.4e-17)
+    varies = Xs.max(axis=2) > Xs.min(axis=2)
+    mean = Xs.mean(axis=2)
+    std = np.array([x.std(axis=1, ddof=1) for x in Xs])  # a fold's temporary at a time
+    # At tiny scales (about 1e-170) the squared deviations underflow and a
+    # varying column's std comes out 0; those columns, and only those, are
+    # measured again after scaling by their largest magnitude.
+    for b, j in zip(*np.nonzero(live[:, None] & varies & (std == 0.0))):
+        std[b, j] = _rescaled_std(Xs[b, j])
+    checked = live[:, None] & varies if drop_constant else live[:, None]
+    bad = np.argwhere(checked & ~(varies & (std > 0.0) & np.isfinite(std)))
+    if bad.size:
+        raise ConstantColumnError(f"column {names[bad[0, 1]]!r} has zero variance")
+    return varies, mean, std
+
+
+def _loo_rows(a: np.ndarray, folds: range) -> np.ndarray:
+    """(folds, cols, n - 1) stack of a's (n, cols) rows, each fold without its own."""
+    n, cols = a.shape
+    out = np.empty((len(folds), cols, n - 1))
+    for b, i in enumerate(folds):
+        out[b, :, :i] = a[:i].T
+        out[b, :, i:] = a[i + 1 :].T
+    return out

@@ -27,6 +27,11 @@ from voxtrait.regression import RatingTable, load_model, write_ratings_csv
 from voxtrait.stats import read_matrix_csv
 
 
+def _read_sidecar(out: str) -> dict:
+    with open(out + ".run.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def features_csv(extracted, tmp_path_factory):
     """The 18-row corpus feature table as a CSV on disk."""
@@ -62,7 +67,7 @@ def test_extract_full_manifest(corpus, tmp_path, capsys):
     assert code == 0
     table = read_table_csv(out)
     assert len(table.rows) == 18
-    sidecar = json.loads(open(out + ".run.json").read())
+    sidecar = _read_sidecar(out)
     assert sidecar["command"] == "extract"
     assert sidecar["config"]["sample_rate"] == 11025
 
@@ -234,7 +239,7 @@ def test_extract_config_override_lands_in_sidecar(corpus, tmp_path, capsys):
         flag = "--" + name.replace("_", "-")
         code = main(["extract", "--manifest", str(manifest), "--out", out, flag, str(value)])
         assert code == 0, name
-        sidecar = json.loads(open(out + ".run.json").read())
+        sidecar = _read_sidecar(out)
         assert sidecar["config"] == {**default, name: value}, name
 
 
@@ -330,6 +335,43 @@ def test_train_stable_then_evaluate(toy_csvs, tmp_path, capsys):
     )
     assert code == 0
     assert "r = " in capsys.readouterr().out
+
+
+def _corrupt_model(doc: dict, how: str) -> None:
+    name = doc["predictors"][0]["name"]
+    if how == "no standardization":
+        del doc["standardization"][name]
+    elif how == "beta":
+        doc["predictors"][0]["beta"] = float("nan")
+    else:
+        field, value = how.split("=")
+        doc["standardization"][name][field] = float(value)
+
+
+@pytest.mark.parametrize(
+    "how", ["no standardization", "beta", "mean=nan", "std=inf", "std=0", "std=-1.5"]
+)
+def test_evaluate_rejects_a_model_without_usable_standardization(
+    toy_csvs, tmp_path, capsys, how
+):
+    f_path, r_path = toy_csvs
+    out = str(tmp_path / "model.json")
+    train = ["train", "--features", f_path, "--ratings", r_path]
+    assert main([*train, "--dv", "cooperative", "--session", "S1", "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _corrupt_model(doc, how)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)  # NaN and Infinity, as json reads them
+    capsys.readouterr()
+    code = main(
+        ["evaluate", "--model", out, "--features", f_path, "--ratings", r_path,
+         "--session", "S2"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model.json" in err
+    assert "Traceback" not in err
 
 
 def test_train_unstable_exits_five(features_csv, corpus, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import pickle
 import tracemalloc
 import wave
 
@@ -45,6 +46,22 @@ def test_vector_fills_absent_names():
     assert arr.shape == (30,)
     assert arr[0] == 0.5
     assert np.isnan(arr[1:]).all()
+
+
+def test_as_array_is_built_once_and_handed_out_as_copies():
+    v = FeatureVector({"spkrate": 0.5, "f0_mean": 120.0, "cep8": None})
+    want = v.as_array()
+    assert want[FEATURE_NAMES.index("f0_mean")] == 120.0
+    first = v.as_array()
+    first[:] = 7.0  # a caller's own array
+    assert np.array_equal(v.as_array(), want, equal_nan=True)
+    # the cached array is no field: equality, repr and pickling see values only
+    same = FeatureVector({"f0_mean": 120.0, "spkrate": 0.5})
+    assert v == same and v != FeatureVector({"spkrate": 0.5})
+    assert repr(v) == repr(same) == f"FeatureVector(values={v.values!r})"
+    back = pickle.loads(pickle.dumps(v))
+    assert back == v and repr(back) == repr(v)
+    assert np.array_equal(back.as_array(), want, equal_nan=True)
 
 
 def test_vector_rejects_unknown_names():

@@ -466,6 +466,53 @@ def test_stacked_scan_gives_no_entrant_only_to_a_singular_fold():
     assert [hit is None for hit in hits] == [f == 3 for f in range(7)]
 
 
+@pytest.mark.parametrize("folds", [range(0, 5), range(17, 23), range(35, 40), range(9, 10), range(40)])
+def test_loo_rows_equal_the_reference_copy(folds):
+    rng = np.random.default_rng(folds.start)
+    X = rng.standard_normal((40, 6))
+    y = rng.standard_normal(40)
+    assert np.array_equal(regression._loo_rows(X, folds), oracles._loo_rows(X, folds))
+    got = regression._loo_rows(y[:, None], folds)
+    assert np.array_equal(got, oracles._loo_rows(y[:, None], folds))
+
+
+def test_column_stats_by_chunk_equal_the_reference_copy():
+    """Fold counts around one chunk of squared deviations, with a rescued column."""
+    n, p = 200, 30
+    per_chunk = regression.SPREAD_CHUNK_BYTES // (8 * p * (n - 1))
+    assert per_chunk > 1
+    rng = np.random.default_rng(6)
+    X = 3.0 + rng.standard_normal((n, p)) * np.linspace(0.1, 50.0, p)
+    X[:, 4] = 1e-170 * rng.standard_normal(n)  # its std underflows to 0
+    X[:, 9] = 2.5
+    X[2, 9] = 4.0  # constant in fold 2 only
+    for folds in (per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1):
+        Xs = regression._loo_rows(X, range(folds))
+        live = np.ones(folds, dtype=bool)
+        live[folds // 2] = False
+        got = regression._column_stats(Xs, NAMES30, live, True)
+        want = oracles._column_stats(Xs, NAMES30, live, True)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.array_equal(Xs, regression._loo_rows(X, range(folds)))  # left as it was
+        assert (got[2][live, 4] > 0.0).all() and (got[2][~live, 4] == 0.0).all()
+        assert not got[0][2, 9] and got[0][1, 9]
+
+
+def test_ols_stats_clamp_keeps_a_negative_zero_rss():
+    # max(rss, 0.0) keeps -0.0 where np.maximum would give +0.0
+    n, selected = 10, [0, 1]
+    G = np.stack([np.eye(3)] * 4)
+    gy = np.zeros((4, 3))
+    syy = np.array([-0.0, 0.0, -1e-30, 2.0])
+    _, rss, pvals = _ols_stats(G, gy, syy, n, selected)
+    for f in range(4):
+        want = oracles._ols_stats(G[f], gy[f], float(syy[f]), n, selected)
+        assert rss[f] == want[1] and np.signbit(rss[f]) == np.signbit(want[1])
+        assert np.array_equal(pvals[f], want[2])
+    assert list(np.signbit(rss)) == [True, False, False, False]
+
+
 # LOOCV edge cases, each run with blocks of 1 and 7 folds and at the
 # default block size, against the reference copy's fold-by-fold loop.
 FOLDS_PER_BLOCK = pytest.mark.parametrize("folds_per_block", [1, 7, None])
