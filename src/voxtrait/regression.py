@@ -495,17 +495,20 @@ def _loo_rows(a: np.ndarray, folds: range) -> np.ndarray:
     """(folds, cols, n - 1) stack of a's (n, cols) rows, each fold without its own.
 
     folds is a range of step 1. The rows before and after it sit at the
-    same place in every fold and are copied once for all of them; each fold
-    then copies the rest of the block's rows.
+    same place in every fold and are copied once for all of them. Within
+    the block, fold b keeps the block's first b rows in place and moves
+    each later one down a place: a copy of the later rows, then a masked
+    copy of the earlier ones, fill every fold.
     """
     n, cols = a.shape
     start, stop = folds.start, folds.stop
     out = np.empty((len(folds), cols, n - 1))
     out[:, :, :start] = a[:start].T
     out[:, :, stop - 1 :] = a[stop:].T
-    for b, i in enumerate(folds):
-        out[b, :, start:i] = a[start:i].T
-        out[b, :, i : stop - 1] = a[i + 1 : stop].T
+    block = out[:, :, start : stop - 1]
+    block[...] = a[start + 1 : stop].T
+    before = np.arange(stop - start - 1) < np.arange(stop - start)[:, None]
+    np.copyto(block, a[start : stop - 1].T, where=before[:, None, :])
     return out
 
 
@@ -799,11 +802,14 @@ def load_model(path: str) -> RegressionModel:
 
 
 def _check_scorable(model: RegressionModel) -> None:
-    """ValueError unless every beta is finite and every predictor has a usable z-score.
+    """ValueError unless every predictor is a descriptor with a usable z-score
+    and every beta is finite.
 
     json.load reads NaN and Infinity, so a model file can hold them.
     """
     for name in model.predictors:
+        if name not in FEATURE_NAMES:
+            raise ValueError(f"unknown predictor {name!r}")
         if name not in model.standardization:
             raise ValueError(f"predictor {name!r} has no standardization entry")
     if not all(map(math.isfinite, model.betas)):

@@ -343,17 +343,19 @@ def _corrupt_model(doc: dict, how: str) -> None:
         del doc["standardization"][name]
     elif how == "beta":
         doc["predictors"][0]["beta"] = float("nan")
+    elif how == "unknown predictor":
+        doc["predictors"][0]["name"] = "speaking_rate"
+        doc["standardization"]["speaking_rate"] = doc["standardization"].pop(name)
     else:
         field, value = how.split("=")
         doc["standardization"][name][field] = float(value)
 
 
 @pytest.mark.parametrize(
-    "how", ["no standardization", "beta", "mean=nan", "std=inf", "std=0", "std=-1.5"]
+    "how",
+    ["no standardization", "unknown predictor", "beta", "mean=nan", "std=inf", "std=0", "std=-1.5"],
 )
-def test_evaluate_rejects_a_model_without_usable_standardization(
-    toy_csvs, tmp_path, capsys, how
-):
+def test_evaluate_rejects_a_model_it_cannot_score(toy_csvs, tmp_path, capsys, how):
     f_path, r_path = toy_csvs
     out = str(tmp_path / "model.json")
     train = ["train", "--features", f_path, "--ratings", r_path]

@@ -50,9 +50,11 @@ def test_vector_fills_absent_names():
 
 def test_as_array_is_built_once_and_handed_out_as_copies():
     v = FeatureVector({"spkrate": 0.5, "f0_mean": 120.0, "cep8": None})
-    want = v.as_array()
-    assert want[FEATURE_NAMES.index("f0_mean")] == 120.0
+    want = np.full(len(FEATURE_NAMES), np.nan)
+    want[FEATURE_NAMES.index("spkrate")] = 0.5
+    want[FEATURE_NAMES.index("f0_mean")] = 120.0
     first = v.as_array()
+    assert np.array_equal(first, want, equal_nan=True)
     first[:] = 7.0  # a caller's own array
     assert np.array_equal(v.as_array(), want, equal_nan=True)
     # the cached array is no field: equality, repr and pickling see values only

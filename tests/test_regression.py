@@ -476,6 +476,14 @@ def test_loo_rows_equal_the_reference_copy(folds):
     assert np.array_equal(got, oracles._loo_rows(y[:, None], folds))
 
 
+def test_loo_rows_of_every_block_of_a_short_table():
+    a = np.arange(18.0).reshape(6, 3)
+    for start in range(6):
+        for stop in range(start + 1, 7):
+            folds = range(start, stop)
+            assert np.array_equal(regression._loo_rows(a, folds), oracles._loo_rows(a, folds))
+
+
 def test_column_stats_by_chunk_equal_the_reference_copy():
     """Fold counts around one chunk of squared deviations, with a rescued column."""
     n, p = 200, 30
