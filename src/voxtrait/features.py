@@ -73,7 +73,11 @@ SESSIONS: tuple[str, ...] = ("S1", "S2", "S3")
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Mapping of the 30 descriptor names to values, None where absent."""
+    """Mapping of the 30 descriptor names to values, None where absent.
+
+    Write nothing into `values` after construction: as_array hands out
+    copies of an array built from it then.
+    """
 
     values: dict[str, float | None]
 
@@ -83,7 +87,6 @@ class FeatureVector:
             raise InputError(f"unknown feature names: {sorted(unknown)}")
         full = {name: self.values.get(name) for name in FEATURE_NAMES}
         object.__setattr__(self, "values", full)
-        # built once, as the vector is frozen; as_array hands out copies
         array = np.array([np.nan if v is None else v for v in full.values()])
         object.__setattr__(self, "_array", array)
 

@@ -802,10 +802,11 @@ def load_model(path: str) -> RegressionModel:
 
 
 def _check_scorable(model: RegressionModel) -> None:
-    """ValueError unless every predictor is a descriptor with a usable z-score
-    and every beta is finite.
+    """ValueError where the model cannot score a feature table.
 
-    json.load reads NaN and Infinity, so a model file can hold them.
+    Each predictor must be a descriptor with a standardization entry, each
+    beta, mean and std finite, and each std > 0. json.load reads NaN and
+    Infinity, so a model file can hold them.
     """
     for name in model.predictors:
         if name not in FEATURE_NAMES:
