@@ -3,11 +3,14 @@
 Low-level operations shared by segmentation and feature extraction: frame
 energy, normalized-autocorrelation voicing and F0, cycle marking with
 jitter/shimmer, harmonicity, LPC formants and mel cepstra. One
-normalized-autocorrelation kernel, `ncc_frames`, serves segmentation's
-frame voicing and the pitch tracker `f0_frames`, each a block of frames
+normalized-autocorrelation kernel, `_ncc_lags`, computes the curve over a
+given lag range. `ncc_frames` returns it over lags 0..max_lag, for the pitch
+tracker `f0_frames` and harmonicity; `ncc_peak` returns only its largest
+value over the pitch lags, for segmentation's frame voicing, and divides
+only those lags by their overlap energies. Each takes a block of frames
 per call; `features.measure_vowels` hands `f0_frames` the F0 subframes of
-every stressed vowel of a clip together. Both size their blocks with
-`ncc_block_rows`, so that a block's working arrays fit NCC_BLOCK_BYTES
+every stressed vowel of a clip together. Voicing and F0 size their blocks
+with `ncc_block_rows`, so that a block's working arrays fit NCC_BLOCK_BYTES
 (1 MiB, a quarter of the 4 MiB per-core L2 cache of the machine it was
 tuned on) whatever the frame length. Long clips run their blocks on one
 thread per CPU, one block in flight per thread, so the budget is per
@@ -20,8 +23,10 @@ gathered by `quality_windows` and `spectral_windows`), which
 sized to the same NCC_BLOCK_BYTES budget. Each one-window function
 (`harmonicity_db`, `lpc_formants`, `mfcc`, `analyze_quality_window`,
 `analyze_spectral_window`) is the one-row case of its block function, so
-each measure has a single implementation. Cycle marking and jitter/shimmer
-stay one window at a time.
+each measure has a single implementation. LPC runs its autocorrelation, its
+Levinson-Durbin recursion and its polynomial roots as stacked calls over
+the block's rows, each row with the bits of its own one-row calls. Cycle
+marking and jitter/shimmer stay one window at a time.
 
 All functions take plain sample arrays; the 80 ms prosody / 40 ms spectral
 window slicing is done by the callers in `features`.
@@ -140,28 +145,59 @@ def ncc_frames(frames: np.ndarray, max_lag: int) -> np.ndarray:
     Values are clipped into [-1, 1]; lags with negligible overlap energy
     give 0. Rows of a 2-D block come out bit-identical to 1-D calls.
     """
-    x = np.asarray(frames, dtype=np.float64)
+    ac = _ncc_lags(np.asarray(frames, dtype=np.float64), 0, max_lag)
+    return np.clip(ac, -1.0, 1.0, out=ac)
+
+
+def ncc_peak(
+    frames: np.ndarray, lo: int, hi: int, squares: np.ndarray | None = None
+) -> np.ndarray:
+    """Largest value of each row's ncc_frames curve over the lags lo..hi.
+
+    Only those lags are normalized, and the largest is clipped into [-1, 1]
+    after the max, which leaves the same bits as the max of the clipped
+    curve, since clipping is monotone. hi is cut as in ncc_frames and must
+    stay >= lo. squares, when given, is frames * frames, to share with the
+    caller's energy measure.
+    """
+    peak = _ncc_lags(np.asarray(frames, dtype=np.float64), lo, hi, squares).max(axis=-1)
+    return np.clip(peak, -1.0, 1.0)
+
+
+def _ncc_lags(
+    x: np.ndarray, lo: int, hi: int, squares: np.ndarray | None = None
+) -> np.ndarray:
+    """Unclipped normalized autocorrelation of x along its last axis, lags lo..hi.
+
+    The one NCC kernel behind ncc_frames and ncc_peak. The FFT runs at the
+    size of the full lag range 0..hi, so each lag keeps the bits it has in
+    the whole curve; only the lags lo..hi are divided by their overlap
+    energies. squares is x * x, computed here when not given.
+    """
     n = x.shape[-1]
-    max_lag, nfft = _ncc_size(n, max_lag)
+    hi, nfft = _ncc_size(n, hi)
     spec = rfft(x, nfft)
     # spec * conj(spec) in that order at every size: numpy's complex multiply
     # is not bitwise commutative, and an inline `spec * np.conj(spec)` turns
     # into conj * spec once numpy elides the temporary (256 KiB and up).
     power = np.conj(spec)
     np.multiply(spec, power, out=power)
-    ac = irfft(power, nfft)[..., : max_lag + 1]
-    sq = np.cumsum(x * x, axis=-1)
+    ac = irfft(power, nfft)[..., lo : hi + 1]
+    sq = np.cumsum(x * x if squares is None else squares, axis=-1)
     # energy of the overlapping head x[:n-tau] and tail x[tau:] at each lag
-    head = sq[..., n - 1 - max_lag : n][..., ::-1]
-    denom = np.empty(sq.shape[:-1] + (max_lag + 1,))
-    denom[..., 0] = sq[..., -1]
-    np.subtract(sq[..., -1:], sq[..., :max_lag], out=denom[..., 1:])
+    head = sq[..., n - 1 - hi : n - lo][..., ::-1]
+    denom = np.empty(sq.shape[:-1] + (hi + 1 - lo,))
+    if lo == 0:
+        denom[..., 0] = sq[..., -1]
+        np.subtract(sq[..., -1:], sq[..., :hi], out=denom[..., 1:])
+    else:
+        np.subtract(sq[..., -1:], sq[..., lo - 1 : hi], out=denom)
     np.multiply(head, denom, out=denom)
     np.sqrt(denom, out=denom)
     live = denom > _TINY
     np.divide(ac, denom, out=ac, where=live)
     ac[~live] = 0.0
-    return np.clip(ac, -1.0, 1.0, out=ac)
+    return ac
 
 
 def _ncc_size(n: int, max_lag: int) -> tuple[int, int]:
@@ -373,8 +409,8 @@ def mark_cycles(
     marks are found.
     """
     x = np.asarray(samples, dtype=np.float64)
-    if f0 <= 0:
-        raise InputError("f0 must be positive")
+    if not (math.isfinite(f0) and f0 > 0):
+        raise InputError("f0 must be finite and positive")
     period = sample_rate / f0
     if x.size < 2 * period or x.size == 0:
         return None
@@ -519,8 +555,8 @@ def harmonicity_frames(
     result equals harmonicity_db of its window alone.
     """
     f0 = np.asarray(f0, dtype=np.float64)
-    if np.any(f0 <= 0):
-        raise InputError("f0 must be positive")
+    if not (np.isfinite(f0).all() and (f0 > 0).all()):
+        raise InputError("f0 must be finite and positive")
     los, his = _hnr_lags(sample_rate, f0)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (x, hi) in enumerate(zip(frames, his.tolist())):
@@ -560,21 +596,35 @@ def preemphasize(samples: np.ndarray, coeff: float = PREEMPHASIS) -> np.ndarray:
     return out
 
 
-def _levinson(r: np.ndarray, order: int) -> np.ndarray | None:
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
-    if err <= 0:
-        return None
+def _levinson(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin recursion (Makhoul 1975) over the rows of r.
+
+    r is a (rows, order + 1) block of autocorrelations. Returns (kept, a):
+    the indices of the rows whose prediction error, r[:, 0] at the start,
+    stays positive through every order, and their (len(kept), order + 1)
+    polynomials with a[:, 0] = 1. A row whose error reaches <= 0 drops out.
+    Each step's dot product is one stacked 1 x i by i x 1 matmul, which
+    runs the BLAS dot of a row's own 1-D np.dot on the same strides, so
+    each row keeps the bits of a recursion run on it alone.
+    """
+    kept = np.flatnonzero(~(r[:, 0] <= 0))
+    r = r[kept]
+    a = np.zeros((kept.size, order + 1))
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
     for i in range(1, order + 1):
-        acc = r[i] + float(np.dot(a[1:i], r[i - 1 : 0 : -1]))
+        # np.dot copies a reversed operand before it calls BLAS; matmul on
+        # the reversed view would take another loop, with other rounding
+        rev = np.ascontiguousarray(r[:, i - 1 : 0 : -1])
+        acc = r[:, i] + np.matmul(a[:, None, 1:i], rev[:, :, None])[:, 0, 0]
         k = -acc / err
-        prev = a[: i + 1].copy()
-        a[1 : i + 1] = prev[1 : i + 1] + k * prev[i - 1 :: -1]
+        prev = a[:, : i + 1].copy()
+        a[:, 1 : i + 1] = prev[:, 1 : i + 1] + k[:, None] * prev[:, i - 1 :: -1]
         err *= 1.0 - k * k
-        if err <= 0:
-            return None
-    return a
+        live = ~(err <= 0)
+        if not live.all():
+            kept, a, r, err = kept[live], a[live], r[live], err[live]
+    return kept, a
 
 
 @lru_cache(maxsize=8)
@@ -598,9 +648,9 @@ def lpc_frames(frames: np.ndarray, sample_rate: int, order: int = LPC_ORDER) -> 
     Complex roots map to frequency angle(z) * rate / 2pi and bandwidth
     -(rate/pi) * ln|z|; candidates must lie 50 Hz inside (0, Nyquist) with
     bandwidth under 700 Hz. Missing slots are None, never fabricated. The
-    autocorrelation and Levinson recursion run row by row; the polynomial
-    roots of the block come from one stacked eigenvalue call. Rows equal
-    lpc_formants of each row alone.
+    autocorrelation (one stacked product per lag), the Levinson recursion
+    and the polynomial roots (one stacked eigenvalue call) each run over
+    the whole block. Rows equal lpc_formants of each row alone.
     """
     x = preemphasize(frames)
     rows, n = x.shape
@@ -608,21 +658,18 @@ def lpc_frames(frames: np.ndarray, sample_rate: int, order: int = LPC_ORDER) -> 
     if n <= order + 1:
         return out
     w = x * _hamming(n)
-    polys = []
-    for i, row in enumerate(w):
-        r = np.array([float(np.dot(row[: n - k], row[k:])) for k in range(order + 1)])
-        if r[0] <= 0:
-            continue
-        r[0] *= 1.0 + 1e-9  # hair of ridge regularization
-        a = _levinson(r, order)
-        if a is not None:
-            polys.append((i, a))
-    for (i, _), roots in zip(polys, _roots([a for _, a in polys])):
+    r = np.empty((rows, order + 1))
+    for k in range(order + 1):
+        # one 1 x (n-k) by (n-k) x 1 product per row: each row's own np.dot
+        r[:, k] = np.matmul(w[:, None, : n - k], w[:, k:, None])[:, 0, 0]
+    r[:, 0] *= 1.0 + 1e-9  # hair of ridge regularization
+    kept, polys = _levinson(r, order)
+    for i, roots in zip(kept.tolist(), _roots(polys)):
         out[i] = _formants(roots, sample_rate)
     return out
 
 
-def _roots(polys: list[np.ndarray]) -> list[np.ndarray]:
+def _roots(polys: Sequence[np.ndarray]) -> list[np.ndarray]:
     """np.roots of each polynomial, leading coefficient 1 and all of one order.
 
     np.roots takes the eigenvalues of the companion matrix; here those of

@@ -68,6 +68,9 @@ FEATURE_NAMES: tuple[str, ...] = (
     "cep8",
 )
 
+# The same names as a set, for membership checks.
+FEATURE_SET: frozenset[str] = frozenset(FEATURE_NAMES)
+
 SESSIONS: tuple[str, ...] = ("S1", "S2", "S3")
 
 
@@ -82,7 +85,7 @@ class FeatureVector:
     values: dict[str, float | None]
 
     def __post_init__(self) -> None:
-        unknown = set(self.values) - set(FEATURE_NAMES)
+        unknown = self.values.keys() - FEATURE_SET
         if unknown:
             raise InputError(f"unknown feature names: {sorted(unknown)}")
         full = {name: self.values.get(name) for name in FEATURE_NAMES}
@@ -91,7 +94,7 @@ class FeatureVector:
         object.__setattr__(self, "_array", array)
 
     def __getitem__(self, name: str) -> float | None:
-        if name not in FEATURE_NAMES:
+        if name not in FEATURE_SET:
             raise KeyError(name)
         return self.values[name]
 

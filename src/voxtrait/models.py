@@ -22,7 +22,7 @@ from importlib import resources
 from typing import Mapping
 
 from .errors import InputError, MissingFeatureError, TableFormatError
-from .features import FEATURE_NAMES, FeatureVector
+from .features import FEATURE_SET, FeatureVector
 from .regression import DV_NAMES
 
 _REGISTRY_RESOURCE = "reference_models.json"
@@ -47,7 +47,7 @@ class ReferenceModel:
         if len(self.predictors) != len(self.betas) or len(self.betas) != len(self.beta_text):
             raise InputError("predictor, beta and text lengths must agree")
         for name in self.predictors:
-            if name not in FEATURE_NAMES:
+            if name not in FEATURE_SET:
                 raise InputError(f"unknown predictor {name!r}")
 
 
@@ -157,7 +157,7 @@ def standardize_against(
     values = _values(vector)
     out: dict[str, float] = {}
     for name, (mean, std) in stats.items():
-        if name not in FEATURE_NAMES:
+        if name not in FEATURE_SET:
             raise InputError(f"unknown feature {name!r} in reference statistics")
         if values.get(name) is None:
             continue

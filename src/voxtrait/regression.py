@@ -32,7 +32,7 @@ from .errors import (
     InsufficientDataError,
     TableFormatError,
 )
-from .features import FEATURE_NAMES, FeatureTable
+from .features import FEATURE_NAMES, FEATURE_SET, FeatureTable
 
 RATER_TYPES: tuple[str, ...] = ("P", "SA")
 DV_NAMES: tuple[str, ...] = (
@@ -809,7 +809,7 @@ def _check_scorable(model: RegressionModel) -> None:
     Infinity, so a model file can hold them.
     """
     for name in model.predictors:
-        if name not in FEATURE_NAMES:
+        if name not in FEATURE_SET:
             raise ValueError(f"unknown predictor {name!r}")
         if name not in model.standardization:
             raise ValueError(f"predictor {name!r} has no standardization entry")

@@ -97,15 +97,18 @@ class SegmentationResult:
 
 
 def _score_frames(frames: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(energy dB, voicing strength) of each row of a (n, flen) frame array."""
-    mean_sq = (frames * frames).mean(axis=1)
+    """(energy dB, voicing strength) of each row of a (n, flen) frame array.
+
+    The squared samples serve both the energy and the NCC's overlap energies.
+    """
+    sq = frames * frames
+    mean_sq = sq.mean(axis=1)
     energy = np.full(frames.shape[0], acoustics.SILENCE_FLOOR_DB)
     audible = mean_sq > 1e-12
     energy[audible] = np.maximum(
         10.0 * np.log10(mean_sq[audible]), acoustics.SILENCE_FLOOR_DB
     )
-    strength = acoustics.ncc_frames(frames, hi)[:, lo:].max(axis=1)
-    return energy, strength
+    return energy, acoustics.ncc_peak(frames, lo, hi, sq)
 
 
 def analyze_frames(clip: AudioClip, cfg: RunConfig | None = None) -> FrameTrack:
@@ -113,9 +116,10 @@ def analyze_frames(clip: AudioClip, cfg: RunConfig | None = None) -> FrameTrack:
 
     Frames are cfg.frame_length long every cfg.frame_hop. Voicing strength
     is the peak normalized autocorrelation over the pitch lags of
-    cfg.f0_floor to cfg.f0_ceiling; a frame is voiced when it reaches
-    cfg.voicing_threshold. Digital silence scores 0 and lands at the
-    -120 dB energy floor. Frames are strided views of the clip, scored
+    cfg.f0_floor to cfg.f0_ceiling (acoustics.ncc_peak, which normalizes
+    those lags only, and shares the squared samples with the energy); a
+    frame is voiced when it reaches cfg.voicing_threshold. Digital silence
+    scores 0 and lands at the -120 dB energy floor. Frames are strided views of the clip, scored
     acoustics.ncc_block_rows at a time (62 default frames), so a block's
     working arrays stay within acoustics.NCC_BLOCK_BYTES, 1 MiB, which fits
     the 4 MiB per-core L2 cache the block size was tuned on, and working

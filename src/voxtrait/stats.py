@@ -27,7 +27,7 @@ from .errors import (
     ZeroVarianceError,
     ZeroVectorError,
 )
-from .features import FEATURE_NAMES, FeatureTable
+from .features import FEATURE_NAMES, FEATURE_SET, FeatureTable
 
 TRANSITIONS: tuple[str, ...] = ("1->2", "1->3", "2->3")
 _TRANSITION_SESSIONS = {"1->2": ("S1", "S2"), "1->3": ("S1", "S3"), "2->3": ("S2", "S3")}
@@ -301,7 +301,7 @@ def read_matrix_csv(path: str) -> SignificanceMatrix:
 
     def parse(line: int, row: list[str]) -> None:
         feature, transition, test, direction, tier = row
-        if feature not in FEATURE_NAMES or transition not in TRANSITIONS:
+        if feature not in FEATURE_SET or transition not in TRANSITIONS:
             raise TableFormatError("unknown feature/transition")
         if test not in TESTS or direction not in DIRECTIONS or tier not in TIERS:
             raise TableFormatError("unknown test/direction/tier")

@@ -38,7 +38,6 @@ from voxtrait.acoustics import (
     VOICING_THRESHOLD,
     _clamp,
     _hamming,
-    _levinson,
     _mel_filterbank,
     ncc_curve,
     pitch_lags,
@@ -1111,8 +1110,10 @@ def _local_perturbation(values: np.ndarray) -> float | None:
 # voice-quality and spectral windows of a recording were measured in blocks:
 # one ncc_curve call per HNR window, one np.roots call per LPC polynomial and
 # one rfft, log and dct per window. Kept verbatim, with preemphasize in its
-# 1-D form and _parabolic from the copy above; ncc_curve, _clamp, _levinson,
-# _hamming, _mel_filterbank and the constants are the package's own.
+# 1-D form, _parabolic from the copy above and the one-row Levinson-Durbin
+# recursion the block LPC ran per row before it was stacked over the block;
+# ncc_curve, _clamp, _hamming, _mel_filterbank and the constants are the
+# package's own.
 
 
 def harmonicity_db(samples: np.ndarray, f0: float, sample_rate: int) -> float | None:
@@ -1157,6 +1158,23 @@ def preemphasize(samples: np.ndarray, coeff: float = PREEMPHASIS) -> np.ndarray:
     out[0] = x[0]
     out[1:] = x[1:] - coeff * x[:-1]
     return out
+
+
+def _levinson(r: np.ndarray, order: int) -> np.ndarray | None:
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    if err <= 0:
+        return None
+    for i in range(1, order + 1):
+        acc = r[i] + float(np.dot(a[1:i], r[i - 1 : 0 : -1]))
+        k = -acc / err
+        prev = a[: i + 1].copy()
+        a[1 : i + 1] = prev[1 : i + 1] + k * prev[i - 1 :: -1]
+        err *= 1.0 - k * k
+        if err <= 0:
+            return None
+    return a
 
 
 def lpc_formants(

@@ -237,6 +237,20 @@ def test_mark_cycles_too_short():
         mark_cycles(_sine(150.0, 0.05), -1.0, RATE)
 
 
+@pytest.mark.parametrize("f0", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_non_finite_or_non_positive_f0_is_an_input_error(f0):
+    # a NaN F0 used to reach numpy (a "Maximum allowed dimension exceeded"
+    # ValueError in harmonicity, a NaN-to-integer one in mark_cycles), and an
+    # infinite one gave a made-up harmonicity
+    x = _sine(150.0, 0.08)
+    with pytest.raises(InputError):
+        mark_cycles(x, f0, RATE)
+    with pytest.raises(InputError):
+        harmonicity_db(x, f0, RATE)
+    with pytest.raises(InputError):
+        harmonicity_frames([x, x], [150.0, f0], RATE)
+
+
 def _bump_train(positions, amplitudes, rate: int = RATE, width: float = 2.0):
     n = int(positions[-1]) + 50
     t = np.arange(n, dtype=np.float64)
@@ -513,7 +527,7 @@ def _lpc_poly(row: np.ndarray) -> np.ndarray | None:
     if r[0] <= 0:
         return None
     r[0] *= 1.0 + 1e-9
-    return _levinson(r, 12)
+    return oracles._levinson(r, 12)
 
 
 def _spectral_block(n: int, seed: int) -> np.ndarray:
@@ -563,6 +577,72 @@ def test_spectral_frames_of_no_rows():
     assert spectral_windows(empty, RATE, []) == []
     with pytest.raises(InputError):
         mfcc_frames(np.zeros((2, 0)), RATE)
+
+
+def _first_failing_order(r: np.ndarray, order: int) -> int | None:
+    """The order at which the one-row recursion's error first reaches <= 0."""
+    return next((m for m in range(1, order + 1) if oracles._levinson(r, m) is None), None)
+
+
+def _assert_levinson_rows_equal_the_one_row_copy(r: np.ndarray, order: int) -> None:
+    want = [oracles._levinson(row, order) for row in r]
+    kept, polys = _levinson(r, order)
+    assert kept.tolist() == [i for i, a in enumerate(want) if a is not None]
+    assert polys.shape == (kept.size, order + 1)
+    for i, a in zip(kept.tolist(), polys):
+        assert np.array_equal(a, want[i])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 30),
+    n=st.integers(14, 600),
+    zeros=st.sampled_from(["none", "head", "tail", "rows"]),
+    order=st.sampled_from([1, 2, 12]),
+)
+def test_levinson_rows_equal_the_one_row_copy(seed, rows, n, zeros, order):
+    # autocorrelations of windows, and of random sequences that are no
+    # autocorrelation at all, whose recursion fails at some order
+    x = _windows(seed, rows, n, zeros)
+    r = np.array([[np.dot(row[: n - k], row[k:]) for k in range(order + 1)] for row in x])
+    _assert_levinson_rows_equal_the_one_row_copy(r.reshape(rows, order + 1), order)
+    rng = np.random.default_rng(seed)
+    r = np.concatenate((np.ones((rows, 1)), rng.uniform(-1.0, 1.0, (rows, order))), axis=1)
+    _assert_levinson_rows_equal_the_one_row_copy(r, order)
+
+
+def test_levinson_rows_fail_at_different_orders():
+    # the autocorrelation of a sine at ever smaller scales underflows at
+    # ever lower orders; random sequences fail where |k| first exceeds 1
+    n = 441
+    w = preemphasize(np.sin(0.3 * np.arange(n))) * np.hamming(n)
+    scaled = [w * 10.0**-e for e in range(150, 165)]
+    r = np.array([[float(np.dot(v[: n - k], v[k:])) for k in range(13)] for v in scaled])
+    r[:, 0] *= 1.0 + 1e-9
+    rng = np.random.default_rng(3)
+    r = np.concatenate((r, np.c_[np.ones(40), rng.uniform(-1.0, 1.0, (40, 12))]))
+    failing = {_first_failing_order(row, 12) for row in r}
+    assert None in failing and len(failing - {None}) >= 5
+    _assert_levinson_rows_equal_the_one_row_copy(r, 12)
+    # one row, no rows
+    _assert_levinson_rows_equal_the_one_row_copy(r[:1], 12)
+    _assert_levinson_rows_equal_the_one_row_copy(r[:0], 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 20),
+    n=st.integers(1, 600),
+    zeros=st.sampled_from(["none", "head", "tail", "rows"]),
+)
+def test_lpc_frames_equal_the_one_window_copy_on_random_blocks(seed, rows, n, zeros):
+    block = _windows(seed, rows, n, zeros)
+    # some rows at subnormal scales, where the recursion fails
+    rng = np.random.default_rng(seed)
+    block[rng.random(rows) < 0.2] *= 1e-158
+    assert lpc_frames(block, RATE) == [oracles.lpc_formants(row, RATE) for row in block]
 
 
 def test_roots_equal_np_roots():

@@ -316,23 +316,43 @@ def test_prosody_windows_across_block_boundaries(corpus, subframes, block_thread
     assert block_threads.runs == block_threads.runs_for(-(-subframes // _SUBFRAME_ROWS))
 
 
-def test_measure_vowels_memory_does_not_grow_with_clip_length(corpus):
+def _measure_vowels_peak(audio: np.ndarray, minutes: int) -> int:
     cfg = RunConfig()
+    n = minutes * 60 * cfg.sample_rate
+    clip = AudioClip(np.tile(audio, -(-n // audio.size))[:n], cfg.sample_rate)
+    seg = segment_clip(clip, cfg)
+    tracemalloc.start()
+    try:
+        for _ in measure_vowels(clip, seg, cfg):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_measure_vowels_memory_does_not_grow_with_clip_length(corpus, monkeypatch):
+    # one F0 block at a time: with two or more threads the peak depends on
+    # whether their blocks happen to be in flight together
+    monkeypatch.setattr(_blocks, "_workers", 1)
     audio = np.concatenate([clip.samples for clip in _corpus_clips(corpus, every=1)])
+    assert _measure_vowels_peak(audio, 8) < 1.25 * _measure_vowels_peak(audio, 2)
 
-    def peak(minutes: int) -> int:
-        n = minutes * 60 * cfg.sample_rate
-        clip = AudioClip(np.tile(audio, -(-n // audio.size))[:n], cfg.sample_rate)
-        seg = segment_clip(clip, cfg)
-        tracemalloc.start()
-        try:
-            for _ in measure_vowels(clip, seg, cfg):
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(8) < 1.25 * peak(2)
+def test_threaded_measure_vowels_memory_is_bounded_per_thread(
+    corpus, monkeypatch, block_threads
+):
+    # NCC_BLOCK_BYTES is a budget per thread: with one F0 block in flight
+    # per thread, each thread holds no more than the serial pass does (an F0
+    # block alone peaks near NCC_BLOCK_BYTES + 256 KiB, so a bound of one
+    # block per extra thread above the serial peak would leave no room)
+    audio = np.concatenate([clip.samples for clip in _corpus_clips(corpus, every=1)])
+    threads = _blocks._workers
+    monkeypatch.setattr(_blocks, "_workers", 1)
+    serial = _measure_vowels_peak(audio, 8)
+    monkeypatch.setattr(_blocks, "_workers", threads)
+    assert _measure_vowels_peak(audio, 8) <= threads * serial
+    # segment_clip's frame analysis and then the F0 blocks were shared out
+    assert block_threads.runs == 2 * (threads - 1)
 
 
 def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):

@@ -16,6 +16,7 @@ from voxtrait.segmentation import (
     FrameTrack,
     PauseSegment,
     VowelSegment,
+    _score_frames,
     analyze_frames,
     detect_pauses,
     detect_vowels,
@@ -24,6 +25,7 @@ from voxtrait.segmentation import (
     _trim_pauses,
 )
 
+import oracles
 from oracles import analyze_frames_reference, trim_pauses_reference, vowel_spans_reference
 
 RATE = 11025
@@ -230,6 +232,72 @@ def test_voicing_strength_is_the_pitch_tracker_curve():
     ]
     assert track.voiced.any() and not track.voiced.all()
     assert np.array_equal(track.voicing_strength, expected)
+
+
+def _voicing_rows(rows: int, flen: int, seed: int) -> np.ndarray:
+    """Disjoint frames of speech-like noise, with rows of digital silence
+    (whole, head or tail), DC rows, whose NCC rounds above 1 at some lags, a
+    row at 1e-160 and one scaled so that the overlap energies of the pitch
+    lags straddle _TINY."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(flen) / RATE
+    f0 = rng.uniform(75.0, 500.0, (rows, 1))
+    x = 0.3 * np.sin(2.0 * math.pi * f0 * t) + 0.05 * rng.standard_normal((rows, flen))
+    x *= rng.uniform(0.01, 1.0, (rows, 1))
+    if rows <= 8:
+        return x
+    base = x[0].copy()
+    cut = int(rng.integers(1, flen))
+    # overlap energies shrink about as (flen - lag) / flen: put the middle
+    # pitch lag's at _TINY
+    lo, hi = acoustics.pitch_lags(RATE, acoustics.F0_FLOOR_HZ, acoustics.F0_CEILING_HZ)
+    mid = (lo + min(hi, flen - 8)) / 2
+    faint = base * math.sqrt(1e-30 * flen / (flen - mid) / np.sum(base * base))
+    special = [
+        np.zeros(flen),
+        np.where(t < t[cut], 0.0, base),
+        np.where(t < t[cut], base, 0.0),
+        np.full(flen, 0.3),
+        np.full(flen, -0.71),
+        0.5 + 0.001 * rng.standard_normal(flen),
+        faint,
+        1e-160 * base,
+    ]
+    for i, row in zip(rng.permutation(rows), special):
+        x[i] = row
+    return x
+
+
+@pytest.mark.parametrize("flen", [276, 120, 40, 31])
+@pytest.mark.parametrize("rows", [1, ROWS - 1, ROWS, ROWS + 1])
+def test_voicing_peak_equals_the_reference_copy(rows, flen):
+    # 120-, 40- and 31-sample frames are short enough that _MIN_OVERLAP cuts
+    # the top lag 147; 31 samples reach only the lowest lag, 23
+    lo, hi = acoustics.pitch_lags(RATE, acoustics.F0_FLOOR_HZ, acoustics.F0_CEILING_HZ)
+    block = _voicing_rows(rows, flen, seed=rows * flen)
+    frame = flen / RATE
+    energy, strength = analyze_frames_reference(block.ravel(), RATE, frame, frame)
+    want = oracles.ncc_frames(block, hi)[:, lo:].max(axis=1)
+    assert np.array_equal(want, strength)
+    assert np.array_equal(acoustics.ncc_peak(block, lo, hi), want)
+    assert np.array_equal(acoustics.ncc_peak(block, lo, hi, block * block), want)
+    got_energy, got_strength = _score_frames(block, lo, hi)
+    assert np.array_equal(got_energy, energy)
+    assert np.array_equal(got_strength, want)
+    cfg = RunConfig(frame_hop=frame, frame_length=frame)
+    track = analyze_frames(AudioClip(block.ravel(), RATE), cfg)
+    assert np.array_equal(track.energy_db, energy)
+    assert np.array_equal(track.voicing_strength, want)
+    if rows > 8:
+        assert (want[~block.any(axis=1)] == 0.0).all()
+        # a DC row's NCC rounds above 1, and its peak is clipped to 1
+        dc = (block == 0.3).all(axis=1)
+        assert (acoustics._ncc_lags(block[dc], lo, hi).max(axis=1) > 1.0).all()
+        assert (want[dc] == 1.0).all()
+        # rows whose overlap energies fall to _TINY at part of the lags
+        dead = oracles.ncc_frames(block, hi)[:, lo:] == 0.0
+        partly = dead.any(axis=1) & ~dead.all(axis=1)
+        assert flen < 40 or partly.any()
 
 
 # Above the three per-frame output arrays (17 bytes a frame), the peak is
