@@ -20,13 +20,18 @@ The voice-quality and spectral measures have the same shape: one block
 function per measure (`harmonicity_frames`, `lpc_frames`, `mfcc_frames`,
 gathered by `quality_windows` and `spectral_windows`), which
 `features.measure_vowels` calls on blocks of `quality_block_rows` vowels,
-sized to the same NCC_BLOCK_BYTES budget. Each one-window function
-(`harmonicity_db`, `lpc_formants`, `mfcc`, `analyze_quality_window`,
-`analyze_spectral_window`) is the one-row case of its block function, so
-each measure has a single implementation. LPC runs its autocorrelation, its
-Levinson-Durbin recursion and its polynomial roots as stacked calls over
-the block's rows, each row with the bits of its own one-row calls. Cycle
-marking and jitter/shimmer stay one window at a time.
+sized to the same NCC_BLOCK_BYTES budget. Each measure has this one entry
+point, and a window measured alone is a one-row block: each row of a block
+comes out equal to the same function called on that row alone. LPC runs its
+autocorrelation, its Levinson-Durbin recursion and its polynomial roots as
+stacked calls over the block's rows, each row with the bits of its own
+one-row calls. Cycle marking and jitter/shimmer stay one window at a time.
+
+Four one-window functions remain that no pipeline path calls: `ncc_curve`
+and `analyze_prosody_window`, `analyze_quality_window` and
+`analyze_spectral_window`. benchmarks/run.py wraps them for its per-layer
+timings and window counts, and its contract test looks up every wrapped
+name; they go when the benchmark stops wrapping them (ROADMAP item 5).
 
 All functions take plain sample arrays; the 80 ms prosody / 40 ms spectral
 window slicing is done by the callers in `features`.
@@ -221,7 +226,11 @@ def ncc_block_rows(n: int, max_lag: int) -> int:
 
 
 def ncc_curve(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """ncc_frames of one window; a single 0 when the window is too short."""
+    """ncc_frames of one window; a single 0 when the window is too short.
+
+    No pipeline path calls it; it stays for benchmarks/run.py (see the
+    module docstring).
+    """
     if min(max_lag, np.size(x) - _MIN_OVERLAP) < 1:
         return np.zeros(1)
     return ncc_frames(x, max_lag)
@@ -300,12 +309,6 @@ def _parabolas(
     return rows[vertex], offset, y1 - 0.25 * (y0 - y2) * offset
 
 
-def _pick_peak(curve: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
-    """Best lag (parabolic-refined) and its strength within [lo, hi]."""
-    lag, strength = _pick_peaks(curve[None, :], lo, hi)
-    return float(lag[0]), float(strength[0])
-
-
 def pitch_lags(sample_rate: int, f0_floor: float, f0_ceiling: float) -> tuple[int, int]:
     """(lo, hi) autocorrelation lags, in samples, of the F0 search range."""
     if not 0 < f0_floor < f0_ceiling or f0_ceiling >= sample_rate / 2:
@@ -331,8 +334,8 @@ def f0_frames(
 
     One ncc_frames call over the block, then one peak pick per row. f0 is
     NaN where a row is unvoiced; strength is the row's best normalized
-    autocorrelation in the admissible lag range. Rows come out equal to
-    f0_once of each row alone.
+    autocorrelation in the admissible lag range. Each row equals the
+    tests' oracles.py copy and f0_frames of that row alone.
     """
     lo, hi = pitch_lags(sample_rate, f0_floor, f0_ceiling)
     x = np.asarray(frames, dtype=np.float64)
@@ -351,51 +354,12 @@ def f0_track(f0: np.ndarray) -> tuple[float | None, ...]:
     return tuple(None if math.isnan(v) else v for v in f0.tolist())
 
 
-def f0_once(
-    samples: np.ndarray,
-    sample_rate: int,
-    f0_floor: float = F0_FLOOR_HZ,
-    f0_ceiling: float = F0_CEILING_HZ,
-    voicing_threshold: float = VOICING_THRESHOLD,
-) -> tuple[float | None, float]:
-    """F0 of one analysis frame, or None when the frame is unvoiced.
-
-    Returns (f0, strength) where strength is the best normalized
-    autocorrelation in the admissible lag range.
-    """
-    frame = np.asarray(samples, dtype=np.float64)[None, :]
-    f0, strength = f0_frames(frame, sample_rate, f0_floor, f0_ceiling, voicing_threshold)
-    return f0_track(f0)[0], float(strength[0])
-
-
 def subframe_grid(n_samples: int, sample_rate: int) -> tuple[int, int, int]:
     """(frame_length, hop, count) in samples for the 25 ms / 10 ms grid."""
     flen = int(round(SUBFRAME_LENGTH_S * sample_rate))
     hop = int(round(SUBFRAME_HOP_S * sample_rate))
     count = (n_samples - flen) // hop + 1 if n_samples >= flen else 0
     return flen, hop, count
-
-
-def estimate_f0(
-    samples: np.ndarray,
-    sample_rate: int,
-    f0_floor: float = F0_FLOOR_HZ,
-    f0_ceiling: float = F0_CEILING_HZ,
-    voicing_threshold: float = VOICING_THRESHOLD,
-) -> list[float | None]:
-    """Per-subframe F0 across a window, None where unvoiced.
-
-    The window is cut into 25 ms subframes every 10 ms; each is pitch-tracked
-    independently with the normalized autocorrelation method, all of them
-    in one f0_frames block.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    flen, hop, count = subframe_grid(x.size, sample_rate)
-    if count == 0:
-        return []
-    frames = sliding_window_view(x, flen)[::hop]
-    f0, _ = f0_frames(frames, sample_rate, f0_floor, f0_ceiling, voicing_threshold)
-    return list(f0_track(f0))
 
 
 def mark_cycles(
@@ -552,7 +516,8 @@ def harmonicity_frames(
     where the window is too short to evaluate its pitch lag. Windows of one
     length and one FFT size share one ncc_frames call, at the largest lag
     among them, which leaves each window's own lags with the same bits; each
-    result equals harmonicity_db of its window alone.
+    result equals the tests' oracles.py copy and harmonicity_frames of its
+    window alone.
     """
     f0 = np.asarray(f0, dtype=np.float64)
     if not (np.isfinite(f0).all() and (f0 > 0).all()):
@@ -580,11 +545,6 @@ def harmonicity_frames(
         for i, peak in zip(rows, r.tolist()):
             out[i] = _hnr_db(peak)
     return out
-
-
-def harmonicity_db(samples: np.ndarray, f0: float, sample_rate: int) -> float | None:
-    """harmonicity_frames of one window."""
-    return harmonicity_frames([samples], [f0], sample_rate)[0]
 
 
 def preemphasize(samples: np.ndarray, coeff: float = PREEMPHASIS) -> np.ndarray:
@@ -650,7 +610,8 @@ def lpc_frames(frames: np.ndarray, sample_rate: int, order: int = LPC_ORDER) -> 
     bandwidth under 700 Hz. Missing slots are None, never fabricated. The
     autocorrelation (one stacked product per lag), the Levinson recursion
     and the polynomial roots (one stacked eigenvalue call) each run over
-    the whole block. Rows equal lpc_formants of each row alone.
+    the whole block. Each row equals the tests' oracles.py copy and
+    lpc_frames of that row alone.
     """
     x = preemphasize(frames)
     rows, n = x.shape
@@ -719,11 +680,6 @@ def _formants(roots: np.ndarray, sample_rate: int) -> Formants:
     return (freqs[0], freqs[1], freqs[2]), (bws[0], bws[1], bws[2])
 
 
-def lpc_formants(samples: np.ndarray, sample_rate: int, order: int = LPC_ORDER) -> Formants:
-    """lpc_frames of one window."""
-    return lpc_frames(np.asarray(samples)[None, :], sample_rate, order)[0]
-
-
 def _hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -759,7 +715,8 @@ def mfcc_frames(
     Pipeline: pre-emphasis 0.97, Hamming window, power spectrum on the next
     power-of-two FFT, 26 triangular mel filters over 0..Nyquist, log with an
     absolute floor of 1e-10, orthonormal DCT-II. c0 is dropped because it
-    only restates the energy measure. Rows equal mfcc of each row alone.
+    only restates the energy measure. Each row equals the tests' oracles.py
+    copy and mfcc_frames of that row alone.
     """
     x = preemphasize(frames)
     rows, n = x.shape
@@ -779,16 +736,6 @@ def mfcc_frames(
     return ceps[:, 1 : n_coeffs + 1]
 
 
-def mfcc(
-    samples: np.ndarray,
-    sample_rate: int,
-    n_coeffs: int = N_CEPSTRA,
-    n_filters: int = N_MEL_FILTERS,
-) -> np.ndarray:
-    """mfcc_frames of one window."""
-    return mfcc_frames(np.asarray(samples)[None, :], sample_rate, n_coeffs, n_filters)[0]
-
-
 def analyze_prosody_window(
     samples: np.ndarray,
     sample_rate: int,
@@ -797,12 +744,21 @@ def analyze_prosody_window(
     f0_ceiling: float = F0_CEILING_HZ,
     voicing_threshold: float = VOICING_THRESHOLD,
 ) -> ProsodyWindow:
-    track = estimate_f0(samples, sample_rate, f0_floor, f0_ceiling, voicing_threshold)
-    return ProsodyWindow(
-        center=center,
-        f0_track=tuple(track),
-        mean_intensity=intensity_db(samples),
-    )
+    """F0 track and mean intensity of one window.
+
+    The window is cut into 25 ms subframes every 10 ms, pitch-tracked as one
+    f0_frames block. No pipeline path calls it; it stays for
+    benchmarks/run.py (see the module docstring), while the pipeline runs
+    features.measure_vowels.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    flen, hop, count = subframe_grid(x.size, sample_rate)
+    track: tuple[float | None, ...] = ()
+    if count:
+        frames = sliding_window_view(x, flen)[::hop]
+        f0, _ = f0_frames(frames, sample_rate, f0_floor, f0_ceiling, voicing_threshold)
+        track = f0_track(f0)
+    return ProsodyWindow(center=center, f0_track=track, mean_intensity=intensity_db(x))
 
 
 def quality_windows(
@@ -850,7 +806,7 @@ def analyze_quality_window(
     center: float,
     f0: float | None,
 ) -> QualityWindow:
-    """quality_windows of one window."""
+    """quality_windows of one window, kept for benchmarks/run.py."""
     return quality_windows([samples], sample_rate, [center], [f0])[0]
 
 
@@ -869,5 +825,5 @@ def spectral_windows(
 def analyze_spectral_window(
     samples: np.ndarray, sample_rate: int, center: float
 ) -> SpectralWindow:
-    """spectral_windows of one window."""
+    """spectral_windows of one window, kept for benchmarks/run.py."""
     return spectral_windows(np.asarray(samples)[None, :], sample_rate, [center])[0]

@@ -23,12 +23,17 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-import numpy as np
-
 from .audio_io import load_wav, resample
 from .config import RunConfig, load_config
 from .csvio import finite, read_csv
-from .errors import DuplicateKeyError, InputError, StatsError, TableFormatError
+from .errors import (
+    ConstantColumnError,
+    DuplicateKeyError,
+    InputError,
+    InsufficientDataError,
+    StatsError,
+    TableFormatError,
+)
 from .features import (
     FEATURE_NAMES,
     SESSIONS,
@@ -47,6 +52,7 @@ from .regression import (
     read_ratings_csv,
     save_model,
     train_model,
+    zscore_fit,
 )
 from .segmentation import segment_clip
 from .stats import (
@@ -238,17 +244,20 @@ def _read_stats_csv(path: str) -> dict[str, tuple[float, float]]:
 
 
 def _stats_from_table(table: FeatureTable) -> dict[str, tuple[float, float]]:
-    """Per-feature mean/std over every row; features needing them get both."""
+    """Per-feature mean/std over the rows that have it, from zscore_fit.
+
+    A feature present in fewer than two rows, or constant over them, gets
+    no entry.
+    """
     stats: dict[str, tuple[float, float]] = {}
     rows = [row.features for row in table.rows]
     for name in FEATURE_NAMES:
         values = [row[name] for row in rows if row.present(name)]
-        if len(values) < 2:
+        try:
+            fit = zscore_fit(values, [name])
+        except (ConstantColumnError, InsufficientDataError):
             continue
-        arr = np.asarray(values, dtype=np.float64)
-        std = float(arr.std(ddof=1))
-        if std > 0.0:
-            stats[name] = (float(arr.mean()), std)
+        stats[name] = (float(fit.mean[0]), float(fit.std[0]))
     return stats
 
 

@@ -21,6 +21,7 @@ A measure that cannot be computed is absent (None), never silently zero.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -180,7 +181,7 @@ def _span(size: int, rate: int, center: float, length_s: float) -> tuple[int, in
 
 
 def _f0_tracks(x: np.ndarray, rate: int, spans: list[tuple[int, int]], cfg: RunConfig):
-    """Yield the estimate_f0 track of each x[lo:hi] span.
+    """Yield the F0 track of each x[lo:hi] span, one F0 per 25 ms subframe.
 
     The subframes of every span are gathered from one strided view of the
     clip and pitch-tracked acoustics.ncc_block_rows rows per f0_frames call
@@ -226,8 +227,8 @@ def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> 
     quality and spectral measures then run over blocks of vowels, each
     sized by acoustics.quality_block_rows to the NCC_BLOCK_BYTES budget (16
     vowels at the defaults), so their working memory does not grow with the
-    clip. Each result equals analyze_prosody_window, analyze_quality_window
-    or analyze_spectral_window of its window.
+    clip. Each result equals the tests' oracles.py measurement of its window
+    and the same block functions called on that window alone.
     """
     x = clip.samples
     rate = clip.sample_rate
@@ -288,55 +289,35 @@ def extract_features(
     values.update(temporal_features(seg))
 
     pooled_f0: list[float] = []
-    ranges: list[float] = []
-    intensities: list[float] = []
-    hnrs: list[float] = []
-    perturb: dict[str, list[float]] = {
-        "jitter_loc": [],
-        "jitter_ppq5": [],
-        "shimmer_loc": [],
-        "shimmer_apq5": [],
-    }
-    formant_slots: dict[str, list[float]] = {
-        name: [] for name in ("f1", "f2", "f3", "b1", "b2", "b3")
-    }
+    # each descriptor's values over the windows; intensity_std takes their
+    # std, every other one their mean, and one without values stays None
+    per_window: dict[str, list[float]] = defaultdict(list)
     cep_rows: list[tuple[float, ...]] = []
 
     for _, pw, qw, sw in measure_vowels(clip, seg, cfg):
+        measured: dict[str, float | None] = {}
         if pw is not None:
-            intensities.append(pw.mean_intensity)
             voiced = pw.voiced_f0
             if voiced:
                 pooled_f0.extend(voiced)
-                ranges.append(pw.f0_max - pw.f0_min)
-            if qw.jitter_local is not None:
-                perturb["jitter_loc"].append(qw.jitter_local)
-            if qw.jitter_ppq5 is not None:
-                perturb["jitter_ppq5"].append(qw.jitter_ppq5)
-            if qw.shimmer_local is not None:
-                perturb["shimmer_loc"].append(qw.shimmer_local)
-            if qw.shimmer_apq5 is not None:
-                perturb["shimmer_apq5"].append(qw.shimmer_apq5)
-            if qw.harmonicity_db is not None:
-                hnrs.append(qw.harmonicity_db)
+                measured["vowel_f0_range"] = pw.f0_max - pw.f0_min
+            measured["intensity_std"] = pw.mean_intensity
+            measured["jitter_loc"] = qw.jitter_local
+            measured["jitter_ppq5"] = qw.jitter_ppq5
+            measured["shimmer_loc"] = qw.shimmer_local
+            measured["shimmer_apq5"] = qw.shimmer_apq5
+            measured["harmonicity"] = qw.harmonicity_db
         if sw is not None:
-            for i, name in enumerate(("f1", "f2", "f3")):
-                if sw.formants[i] is not None:
-                    formant_slots[name].append(sw.formants[i])
-            for i, name in enumerate(("b1", "b2", "b3")):
-                if sw.bandwidths[i] is not None:
-                    formant_slots[name].append(sw.bandwidths[i])
+            measured.update(zip(("f1", "f2", "f3", "b1", "b2", "b3"), sw.formants + sw.bandwidths))
             cep_rows.append(sw.cepstra)
+        for name, v in measured.items():
+            if v is not None:
+                per_window[name].append(v)
 
     values["f0_mean"] = _mean_or_none(pooled_f0)
     values["f0_std"] = _std(pooled_f0)
-    values["vowel_f0_range"] = _mean_or_none(ranges)
-    values["intensity_std"] = _std(intensities)
-    values["harmonicity"] = _mean_or_none(hnrs)
-    for name, vals in perturb.items():
-        values[name] = _mean_or_none(vals)
-    for name, vals in formant_slots.items():
-        values[name] = _mean_or_none(vals)
+    for name, vals in per_window.items():
+        values[name] = _std(vals) if name == "intensity_std" else _mean_or_none(vals)
     if cep_rows:
         means = np.mean(np.asarray(cep_rows), axis=0)
         for i in range(8):

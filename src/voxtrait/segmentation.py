@@ -172,19 +172,10 @@ def analyze_frames(clip: AudioClip, cfg: RunConfig | None = None) -> FrameTrack:
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal [first, last] index runs of True."""
-    out = []
-    i = 0
-    n = mask.size
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            out.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return out
+    padded = np.concatenate(([False], mask, [False]))
+    # the padded mask changes at each run's first index and just past its last
+    edges = np.flatnonzero(np.diff(padded))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def detect_vowels(track: FrameTrack, cfg: RunConfig | None = None) -> list[VowelSegment]:

@@ -70,7 +70,9 @@ def paired_t_test(a, b, alpha: float = max(RunConfig.alphas)) -> PairedTestResul
         raise InsufficientDataError(f"paired t-test needs >= 2 pairs, got {n}")
     d = xb - xa
     sd = float(np.std(d, ddof=1))
-    if sd == 0.0:
+    # max == min is the exact constant test: the sd of a constant shift can
+    # round to a tiny nonzero value (19 shifts of 0.1 give 1.4e-17)
+    if sd == 0.0 or d.max() == d.min():
         raise ZeroVarianceError("paired differences have zero variance")
     mean = float(np.mean(d))
     t = mean / (sd / math.sqrt(n))

@@ -479,6 +479,24 @@ def vowel_spans_reference(energy, voiced, min_sep_frames, nucleus_drop_db):
     return spans
 
 
+def runs_reference(mask) -> list[tuple[int, int]]:
+    """Maximal [first, last] index runs of True: the index walk
+    `segmentation._runs` ran before it took edges of the padded mask."""
+    out = []
+    i = 0
+    n = mask.size
+    while i < n:
+        if mask[i]:
+            j = i
+            while j + 1 < n and mask[j + 1]:
+                j += 1
+            out.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
 def trim_pauses_reference(pauses, vowels, min_duration):
     """(start, end) of each pause trimmed against every (start, end) vowel."""
     out = []

@@ -28,12 +28,14 @@ from oracles import (
 from voxtrait import cli
 from voxtrait.acoustics import (
     HNR_MAX_DB,
-    estimate_f0,
-    harmonicity_db,
+    f0_frames,
+    f0_track,
+    harmonicity_frames,
     jitter_shimmer,
-    lpc_formants,
+    lpc_frames,
     mark_cycles,
-    mfcc,
+    mfcc_frames,
+    subframe_grid,
 )
 from voxtrait.audio_io import load_wav, resample
 from voxtrait.features import FEATURE_NAMES, FeatureTable, extract_features
@@ -145,7 +147,9 @@ def test_criterion_3_acoustic_oracles(capsys):
     errs = []
 
     x = 0.5 * np.sin(2.0 * np.pi * 150.0 * np.arange(int(RATE * 0.5)) / RATE)
-    track = estimate_f0(x, RATE)
+    flen, hop, count = subframe_grid(x.size, RATE)
+    f0, _ = f0_frames(np.array([x[i * hop : i * hop + flen] for i in range(count)]), RATE)
+    track = f0_track(f0)
     voiced = [f for f in track if f is not None]
     f0_mean = float(np.mean(voiced)) if voiced else float("nan")
     if not abs(f0_mean - 150.0) < 1.0:
@@ -157,7 +161,7 @@ def test_criterion_3_acoustic_oracles(capsys):
         errs.append(f"sine jitter_local {pert.jitter_local}")
     if not (pert.shimmer_local is not None and pert.shimmer_local < 1e-3):
         errs.append(f"sine shimmer_local {pert.shimmer_local}")
-    hnr = harmonicity_db(x, 150.0, RATE)
+    hnr = harmonicity_frames([x], [150.0], RATE)[0]
     if hnr != HNR_MAX_DB:
         errs.append(f"sine HNR {hnr}, want clamp at {HNR_MAX_DB}")
 
@@ -165,7 +169,7 @@ def test_criterion_3_acoustic_oracles(capsys):
     vowel = synthesize_vowel(
         RATE, 100.0, (700.0, 1200.0, 2600.0), (130.0, 70.0, 160.0), 1024, rng
     )
-    (f1, f2, f3), _ = lpc_formants(vowel, RATE)
+    (f1, f2, f3), _ = lpc_frames(vowel[None], RATE)[0]
     for got_f, want_f in ((f1, 700.0), (f2, 1200.0), (f3, 2600.0)):
         if got_f is None or abs(got_f - want_f) > 0.05 * want_f:
             errs.append(f"formant {got_f} vs {want_f} (5% band)")
@@ -173,7 +177,8 @@ def test_criterion_3_acoustic_oracles(capsys):
     worst = 0.0
     for n, seed in ((441, 0), (512, 1), (200, 2)):
         w = np.random.default_rng(seed).standard_normal(n)
-        worst = max(worst, float(np.max(np.abs(mfcc(w, RATE) - mfcc_reference(w, RATE)))))
+        got = mfcc_frames(w[None], RATE)[0]
+        worst = max(worst, float(np.max(np.abs(got - mfcc_reference(w, RATE)))))
     if worst > 1e-6:
         errs.append(f"MFCC deviates from the reference coding by {worst:.2e}")
 

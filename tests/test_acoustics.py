@@ -23,23 +23,18 @@ from voxtrait.acoustics import (
     _levinson,
     _local_perturbation,
     _ncc_size,
-    _pick_peak,
     _pick_peaks,
     _ppq5,
     _mel_to_hz,
     _roots,
-    estimate_f0,
+    analyze_prosody_window,
     f0_frames,
-    f0_once,
     f0_track,
-    harmonicity_db,
     harmonicity_frames,
     intensity_db,
     jitter_shimmer,
-    lpc_formants,
     lpc_frames,
     mark_cycles,
-    mfcc,
     mfcc_frames,
     ncc_curve,
     ncc_frames,
@@ -69,7 +64,7 @@ def test_parabolic_vertex():
     bounds=st.sampled_from([(F0_FLOOR_HZ, F0_CEILING_HZ), (HNR_MIN_DB, HNR_MAX_DB), (75, 500)]),
 )
 def test_clamp_equals_np_clip(x, bounds):
-    # f0_once and harmonicity_db clamp with it; np.clip gave the same floats
+    # harmonicity_frames clamps with it; np.clip gave the same floats
     lo, hi = bounds
     for value in (x, lo, hi):
         got = _clamp(value, lo, hi)
@@ -94,7 +89,7 @@ def _harmonic(freq: float, n_samples: int, n_harm: int = 40, rate: int = RATE):
 def test_mfcc_matches_loop_reference(size):
     rng = np.random.default_rng(size)
     x = rng.standard_normal(size)
-    got = mfcc(x, RATE)
+    got = mfcc_frames(x[None], RATE)[0]
     ref = mfcc_reference(x, RATE)
     assert np.max(np.abs(got - ref)) < 1e-6
 
@@ -102,7 +97,7 @@ def test_mfcc_matches_loop_reference(size):
 def test_mfcc_on_vowel_like_window():
     rng = np.random.default_rng(3)
     x = synthesize_vowel(RATE, 120.0, (700.0, 1200.0, 2600.0), (130.0, 70.0, 160.0), 441, rng)
-    got = mfcc(x, RATE)
+    got = mfcc_frames(x[None], RATE)[0]
     ref = mfcc_reference(x, RATE)
     assert got.shape == (8,)
     assert np.max(np.abs(got - ref)) < 1e-6
@@ -110,7 +105,7 @@ def test_mfcc_on_vowel_like_window():
 
 def test_mfcc_empty_window_rejected():
     with pytest.raises(InputError):
-        mfcc(np.zeros(0), RATE)
+        mfcc_frames(np.zeros(0)[None], RATE)
 
 
 # ------------------------------------------------------------- intensity
@@ -179,37 +174,43 @@ def test_pitch_lags():
 # ------------------------------------------------------------------- F0
 
 
+def _subframes(x: np.ndarray, rate: int = RATE) -> np.ndarray:
+    """The 25 ms subframes, every 10 ms, of a window: one f0_frames block."""
+    flen, hop, count = subframe_grid(x.size, rate)
+    return np.array([x[i * hop : i * hop + flen] for i in range(count)]).reshape(count, flen)
+
+
 def test_sine_f0_within_one_hz():
     x = _sine(150.0, 0.5)
-    track = estimate_f0(x, RATE)
+    track = f0_track(f0_frames(_subframes(x), RATE)[0])
     assert len(track) > 0 and all(f is not None for f in track)
     assert abs(float(np.mean([f for f in track])) - 150.0) < 1.0
 
 
 def test_f0_strength_near_one_for_pure_tone():
-    f0, strength = f0_once(_sine(200.0, 0.04), RATE)
-    assert f0 == pytest.approx(200.0, abs=1.0)
-    assert strength > 0.99
+    f0, strength = f0_frames(_sine(200.0, 0.04)[None], RATE)
+    assert f0[0] == pytest.approx(200.0, abs=1.0)
+    assert strength[0] > 0.99
 
 
 def test_f0_no_octave_error_on_rich_harmonics():
     # every multiple of the period correlates equally well; the shortest
     # admissible lag must win
     x = _harmonic(120.0, int(0.04 * RATE))
-    f0, _ = f0_once(x, RATE)
-    assert f0 == pytest.approx(120.0, abs=1.5)
+    f0, _ = f0_frames(x[None], RATE)
+    assert f0[0] == pytest.approx(120.0, abs=1.5)
 
 
 def test_noise_is_unvoiced():
     rng = np.random.default_rng(17)
-    f0, strength = f0_once(rng.standard_normal(int(0.025 * RATE)), RATE)
-    assert f0 is None
-    assert strength < 0.45
+    f0, strength = f0_frames(rng.standard_normal((1, int(0.025 * RATE))), RATE)
+    assert f0_track(f0) == (None,)
+    assert strength[0] < 0.45
 
 
 def test_f0_bounds_validated():
     with pytest.raises(InputError):
-        f0_once(_sine(150.0, 0.04), RATE, f0_floor=500.0, f0_ceiling=75.0)
+        f0_frames(_sine(150.0, 0.04)[None], RATE, f0_floor=500.0, f0_ceiling=75.0)
 
 
 def test_subframe_grid_exact():
@@ -246,7 +247,7 @@ def test_non_finite_or_non_positive_f0_is_an_input_error(f0):
     with pytest.raises(InputError):
         mark_cycles(x, f0, RATE)
     with pytest.raises(InputError):
-        harmonicity_db(x, f0, RATE)
+        harmonicity_frames([x], [f0], RATE)
     with pytest.raises(InputError):
         harmonicity_frames([x, x], [150.0, f0], RATE)
 
@@ -307,7 +308,7 @@ def test_sine_perturbation_near_zero():
 
 
 def test_hnr_clean_tone_hits_clamp():
-    assert harmonicity_db(_sine(150.0, 0.08), 150.0, RATE) == HNR_MAX_DB
+    assert harmonicity_frames([_sine(150.0, 0.08)], [150.0], RATE)[0] == HNR_MAX_DB
 
 
 def test_hnr_ordering_with_noise():
@@ -315,15 +316,15 @@ def test_hnr_ordering_with_noise():
     clean = _sine(150.0, 0.08)
     noisy = clean + 0.1 * rng.standard_normal(clean.size)
     very_noisy = clean + 1.0 * rng.standard_normal(clean.size)
-    h_clean = harmonicity_db(clean, 150.0, RATE)
-    h_noisy = harmonicity_db(noisy, 150.0, RATE)
-    h_very = harmonicity_db(very_noisy, 150.0, RATE)
+    h_clean = harmonicity_frames([clean], [150.0], RATE)[0]
+    h_noisy = harmonicity_frames([noisy], [150.0], RATE)[0]
+    h_very = harmonicity_frames([very_noisy], [150.0], RATE)[0]
     assert h_clean > h_noisy > h_very
     assert HNR_MIN_DB <= h_very <= HNR_MAX_DB
 
 
 def test_hnr_window_too_short():
-    assert harmonicity_db(_sine(150.0, 0.005), 150.0, RATE) is None
+    assert harmonicity_frames([_sine(150.0, 0.005)], [150.0], RATE)[0] is None
 
 
 # ---------------------------------------------------------------- LPC
@@ -334,7 +335,7 @@ def test_formants_of_three_resonator_vowel():
     x = synthesize_vowel(
         RATE, 100.0, (700.0, 1200.0, 2600.0), (130.0, 70.0, 160.0), 1024, rng
     )
-    (f1, f2, f3), (b1, b2, b3) = lpc_formants(x, RATE)
+    (f1, f2, f3), (b1, b2, b3) = lpc_frames(x[None], RATE)[0]
     assert f1 == pytest.approx(700.0, rel=0.05)
     assert f2 == pytest.approx(1200.0, rel=0.05)
     assert f3 == pytest.approx(2600.0, rel=0.05)
@@ -343,11 +344,11 @@ def test_formants_of_three_resonator_vowel():
 
 
 def test_formants_degenerate_inputs():
-    assert lpc_formants(np.zeros(512), RATE) == (
+    assert lpc_frames(np.zeros((1, 512)), RATE)[0] == (
         (None, None, None),
         (None, None, None),
     )
-    assert lpc_formants(np.ones(5), RATE)[0] == (None, None, None)
+    assert lpc_frames(np.ones((1, 5)), RATE)[0][0] == (None, None, None)
 
 
 # ------------------------------------------------------------- helpers
@@ -421,7 +422,8 @@ def test_ncc_frames_and_pick_peak_equal_the_reference_copy(seed, rows, n, max_la
             want = [oracles._pick_peak(curve, lo, hi) for curve in block]
             lags, strengths = _pick_peaks(block, lo, hi)
             assert list(zip(lags.tolist(), strengths.tolist())) == want
-            assert [_pick_peak(curve, lo, hi) for curve in block] == want
+            alone = [_pick_peaks(curve[None], lo, hi) for curve in block]
+            assert [(lag.item(), strength.item()) for lag, strength in alone] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,16 +433,19 @@ def test_ncc_frames_and_pick_peak_equal_the_reference_copy(seed, rows, n, max_la
     zeros=st.sampled_from(["none", "head", "tail"]),
     rate=st.sampled_from([RATE, 8000, 16000]),
 )
-def test_estimate_f0_equals_the_subframe_loop(seed, n, zeros, rate):
+def test_subframe_f0_track_equals_the_subframe_loop(seed, n, zeros, rate):
     x = _windows(seed, None, n, zeros)
-    assert estimate_f0(x, rate) == oracles.estimate_f0(x, rate)
-    # the rows of one f0_frames block equal f0_once of each row alone
-    flen, hop, count = subframe_grid(n, rate)
-    frames = [x[i * hop : i * hop + flen] for i in range(count)]
-    if frames:
-        f0, strength = f0_frames(np.stack(frames), rate)
-        want = list(zip(f0_track(f0), strength.tolist()))
-        assert [f0_once(frame, rate) for frame in frames] == want
+    want = oracles.estimate_f0(x, rate)
+    frames = _subframes(x, rate)
+    f0, strength = f0_frames(frames, rate)
+    assert list(f0_track(f0)) == want
+    if n:
+        assert list(analyze_prosody_window(x, rate, 0.0).f0_track) == want
+    # the rows of one f0_frames block equal f0_frames of each row alone
+    alone = [f0_frames(frame[None], rate) for frame in frames]
+    assert [(f0_track(f)[0], s.item()) for f, s in alone] == list(
+        zip(f0_track(f0), strength.tolist())
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -498,7 +503,7 @@ def test_harmonicity_frames_equal_the_one_window_copy():
     assert want[13] is None and want[14] is None and want[12] is not None
     assert want[5] == HNR_MIN_DB
     assert harmonicity_frames(windows, f0, RATE) == want
-    assert [harmonicity_db(x, f, RATE) for x, f in zip(windows, f0)] == want
+    assert [harmonicity_frames([x], [f], RATE)[0] for x, f in zip(windows, f0)] == want
     assert harmonicity_frames([], [], RATE) == []
     with pytest.raises(InputError):
         harmonicity_frames(windows[:2], [120.0, 0.0], RATE)
@@ -520,7 +525,7 @@ def test_harmonicity_frames_equal_the_one_window_copy_on_random_blocks(seed, row
 
 
 def _lpc_poly(row: np.ndarray) -> np.ndarray | None:
-    """The Levinson polynomial lpc_formants fits to one window, or None."""
+    """The Levinson polynomial lpc_frames fits to one window, or None."""
     n = row.size
     w = preemphasize(row) * np.hamming(n)
     r = np.array([float(np.dot(w[: n - k], w[k:])) for k in range(13)])
@@ -558,11 +563,11 @@ def test_spectral_frames_equal_the_one_window_copies(n):
         assert polys[6][-1] == 0.0 and polys[0][-1] != 0.0
     want = [oracles.lpc_formants(row, RATE) for row in block]
     assert lpc_frames(block, RATE) == want
-    assert [lpc_formants(row, RATE) for row in block] == want
+    assert [lpc_frames(row[None], RATE)[0] for row in block] == want
     ceps = mfcc_frames(block, RATE)
     for row, got in zip(block, ceps):
         assert np.array_equal(got, oracles.mfcc(row, RATE))
-        assert np.array_equal(mfcc(row, RATE), got)
+        assert np.array_equal(mfcc_frames(row[None], RATE)[0], got)
     centers = [0.1 * i for i in range(len(block))]
     windows = spectral_windows(block, RATE, centers)
     assert [(w.formants, w.bandwidths) for w in windows] == want

@@ -8,14 +8,19 @@ their per-operation correctness checks, which a benchmark run also applies,
 and pins the seed-7 `corpus` digests; a third checks that two `table`
 passes in one process give the same digests, as a benchmark run checks
 across its passes, and pins the seed-7 `table` digests themselves; a
-fourth pins the seed-11 `table` digests.
+fourth pins the seed-11 `table` digests. The last checks the scoring
+statistics the `corpus` workload takes from `cli._stats_from_table`.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import voxtrait
+import voxtrait.cli
 import voxtrait.acoustics
 import voxtrait.audio_io
 import voxtrait.features
@@ -105,3 +110,19 @@ def test_table_seed_11_digests_are_pinned(tmp_path):
         "merged_arrows_csv": "e68ddd8d16881978fae046e92ec6016d57a98ef95fc29faff09a454bd90910fc",
         "models_json": "a052413d9837b3e081c7dd592f3329890975f8927bf2735f3e28cc0fade8c268",
     }
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_score_stats_of_the_workload_tables_keep_their_bits(seed):
+    # every column of these tables varies, and each keeps the mean and
+    # sample std that np.mean and np.std(ddof=1) give it, bit for bit
+    table, _ = _bench_module("workloads").make_table(seed)
+    got = voxtrait.cli._stats_from_table(table)
+    want = {}
+    for name in voxtrait.features.FEATURE_NAMES:
+        values = [row.features[name] for row in table.rows if row.features.present(name)]
+        if values:
+            arr = np.asarray(values, dtype=np.float64)
+            want[name] = (float(arr.mean()).hex(), float(arr.std(ddof=1)).hex())
+    assert len(want) == 30
+    assert {name: (m.hex(), s.hex()) for name, (m, s) in got.items()} == want

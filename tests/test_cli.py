@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import voxtrait
+from voxtrait import cli
 from voxtrait.audio_io import AudioClip, load_wav, resample, write_wav
 from voxtrait.cli import main
 from voxtrait.config import RunConfig
@@ -23,6 +24,7 @@ from voxtrait.features import (
     read_table_csv,
     write_table_csv,
 )
+from voxtrait.models import standardize_against
 from voxtrait.regression import RatingTable, load_model, write_ratings_csv
 from voxtrait.stats import read_matrix_csv
 
@@ -447,6 +449,19 @@ def test_score_with_explicit_stats(tmp_path, capsys):
     got = float(line.split(",")[4])
     expect = -0.67 * 0.5 + -0.35 * -1.0 + 0.29 * 2.0
     assert got == pytest.approx(expect, abs=1e-4)
+
+
+def test_score_stats_leave_out_a_constant_column():
+    # 19 copies of 0.1 have a sample std of 1.4e-17, not 0: a std > 0 test
+    # kept the column and standardized every row to z = -0.97
+    table = FeatureTable()
+    for i in range(19):
+        table.add(f"sp{i:02d}", "S1", FeatureVector({"rhythm": 0.1, "cep1": float(i)}))
+    stats = cli._stats_from_table(table)
+    assert stats == {"cep1": (9.0, float(np.std(np.arange(19.0), ddof=1)))}
+    assert standardize_against(table.rows[0].features, stats) == {
+        "cep1": -9.0 / stats["cep1"][1]
+    }
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])

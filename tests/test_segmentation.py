@@ -22,11 +22,17 @@ from voxtrait.segmentation import (
     detect_vowels,
     segment_clip,
     select_stressed,
+    _runs,
     _trim_pauses,
 )
 
 import oracles
-from oracles import analyze_frames_reference, trim_pauses_reference, vowel_spans_reference
+from oracles import (
+    analyze_frames_reference,
+    runs_reference,
+    trim_pauses_reference,
+    vowel_spans_reference,
+)
 
 RATE = 11025
 HOP = 110  # round(0.010 * 11025)
@@ -221,7 +227,7 @@ def test_block_analysis_of_50ms_frames_matches_whole_array():
 
 def test_voicing_strength_is_the_pitch_tracker_curve():
     # one kernel: each frame's voicing strength is, to the bit, the peak of
-    # the curve f0_once searches, over the same lag range
+    # the curve f0_frames searches, over the same lag range
     x = _speechlike(RATE, seed=5)
     track = analyze_frames(AudioClip(x, RATE))
     lo, hi = acoustics.pitch_lags(RATE, acoustics.F0_FLOOR_HZ, acoustics.F0_CEILING_HZ)
@@ -391,3 +397,12 @@ def test_pause_trimming_matches_all_vowels_scan(case):
         [(p.start, p.end) for p in pauses], [(v.start, v.end) for v in vowels], min_duration
     )
     assert [(p.start, p.end) for p in got] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), max_size=200))
+def test_runs_match_the_index_walk(bits):
+    mask = np.array(bits, dtype=bool)
+    got = _runs(mask)
+    assert got == runs_reference(mask)
+    assert all(type(i) is int and type(j) is int for i, j in got)

@@ -91,6 +91,15 @@ def test_t_errors():
         paired_t_test([1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("shift", [0.5, 0.1, -0.3, 1e-170])
+def test_t_rejects_a_constant_shift_however_its_sd_rounds(shift):
+    # every pair moves by the same amount, so t is undefined; the sample sd
+    # of 19 shifts of 0.1 rounds to 1.4e-17, which gave t = 3.1e16
+    a = np.zeros(19)
+    with pytest.raises(ZeroVarianceError):
+        paired_t_test(a, a + shift)
+
+
 @pytest.mark.parametrize(
     "a,b", [(1.0, 2.0), ([[1.0, 2.0, 3.0]], [[2.0, 4.0, 5.0]]), (np.ones((3, 1)), np.ones((3, 1)))]
 )
