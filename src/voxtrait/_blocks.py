@@ -1,8 +1,8 @@
 """Block loops of long recordings, shared out over a process-wide thread pool.
 
-WAV decoding, `resample` and the NCC blocks of frame voicing and F0 each
-walk a clip block by block, and each block spends its time in numpy and
-scipy kernels that release the GIL. `run_blocks` hands one contiguous run
+WAV decoding, `resample` and the NCC blocks of frame voicing each walk a
+clip block by block, and each block spends its time in numpy and scipy
+kernels that release the GIL. `run_blocks` hands one contiguous run
 of blocks to each of as many threads as the process has CPUs. Every block
 writes only its own slice of an output the caller allocated beforehand,
 so the result is the serial one, bit for bit, however the runs fall.
@@ -25,16 +25,14 @@ from typing import Callable
 # 3 to 120 s, medians of 21 to 61 alternating runs, as the threaded time
 # over the serial one at so many blocks per thread:
 #   analyze_frames  0.83 at 2.5, 0.80 at 4.5, 0.67 at 8.5, 0.74 at 97;
-#   _f0_tracks      1.36 at 1.5, 1.13 at 3, 0.83 at 4.5, 0.94 at 7.5,
-#                   1.00 and 0.87 at 9 (the most Python per block);
 #   WAV decode      0.93 at 2, 0.82 at 3.5, 0.79 at 7, 0.62 at 40;
 #   resample        0.71 at 1, 0.64 at 2, 0.54 at 20.
 # Whole recordings (load to descriptors) with every loop of 2 or more
-# blocks threaded: 11025 Hz mono 1.03-1.05 at 5 s, 0.92-0.95 at 10 s,
-# 0.84-0.93 at 40 s; 44.1 kHz stereo 0.93-1.06 at 5 s, 0.77-0.81 at 40 s.
-# They cross between 5 and 10 s, 4 to 8 frame blocks per thread, and F0
-# blocks only pay from about 4.5; 8 is past every crossing, and puts the
-# switch for frame analysis at clips of about 10 s.
+# blocks threaded, F0 blocks then included: 11025 Hz mono 1.03-1.05 at
+# 5 s, 0.92-0.95 at 10 s, 0.84-0.93 at 40 s; 44.1 kHz stereo 0.93-1.06 at
+# 5 s, 0.77-0.81 at 40 s. They cross between 5 and 10 s, 4 to 8 frame
+# blocks per thread; 8 is past every crossing of these three loops, and
+# puts the switch for frame analysis at clips of about 10 s.
 MIN_BLOCKS_PER_WORKER = 8
 
 

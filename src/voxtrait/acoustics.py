@@ -2,19 +2,21 @@
 
 Low-level operations shared by segmentation and feature extraction: frame
 energy, normalized-autocorrelation voicing and F0, cycle marking with
-jitter/shimmer, harmonicity, LPC formants and mel cepstra. One
-normalized-autocorrelation kernel, `_ncc_lags`, computes the curve over a
-given lag range. `ncc_frames` returns it over lags 0..max_lag, for the pitch
-tracker `f0_frames` and harmonicity; `ncc_peak` returns only its largest
-value over the pitch lags, for segmentation's frame voicing, and divides
-only those lags by their overlap energies. Each takes a block of frames
-per call; `features.measure_vowels` hands `f0_frames` the F0 subframes of
-every stressed vowel of a clip together. Voicing and F0 size their blocks
-with `ncc_block_rows`, so that a block's working arrays fit NCC_BLOCK_BYTES
+jitter/shimmer, harmonicity, LPC formants and mel cepstra. Every
+normalized-autocorrelation (NCC) consumer calls one function,
+`ncc_frames(frames, lo, hi)`, which normalizes and clips only the lags it
+is asked for: the pitch lags for segmentation's frame voicing, which takes
+their max, lags lo-1..hi for the pitch tracker `f0_frames`, and the band
+around each window's pitch lag for harmonicity. Its private kernel
+`_ncc_lags` runs the FFT at the size of the whole range 0..hi, so each lag
+has the same bits whatever range is read. It takes a block of frames per
+call; `features.measure_vowels` hands `f0_frames` the F0 subframes of each
+block of stressed vowels. Voicing and F0 size their blocks with
+`ncc_block_rows`, so that a block's working arrays fit NCC_BLOCK_BYTES
 (1 MiB, a quarter of the 4 MiB per-core L2 cache of the machine it was
-tuned on) whatever the frame length. Long clips run their blocks on one
-thread per CPU, one block in flight per thread, so the budget is per
-thread, as each core has its own L2 cache.
+tuned on) whatever the frame length. Frame analysis of a long clip runs
+its blocks on one thread per CPU, one block in flight per thread, so the
+budget is per thread, as each core has its own L2 cache.
 
 The voice-quality and spectral measures have the same shape: one block
 function per measure (`harmonicity_frames`, `lpc_frames`, `mfcc_frames`,
@@ -141,32 +143,22 @@ def intensity_db(samples: np.ndarray) -> float:
     return max(10.0 * math.log10(ms), SILENCE_FLOOR_DB)
 
 
-def ncc_frames(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized autocorrelation along the last axis for lags 0..max_lag.
+def ncc_frames(
+    frames: np.ndarray, lo: int, hi: int, squares: np.ndarray | None = None
+) -> np.ndarray:
+    """Normalized autocorrelation along the last axis for lags lo..hi.
 
     r[tau] = sum(x[t] x[t+tau]) / sqrt(sum_head(x^2) * sum_tail(x^2)), the
     normalization using only the overlapping stretch at each lag (Boersma
-    1993). max_lag is cut so that at least _MIN_OVERLAP samples overlap.
-    Values are clipped into [-1, 1]; lags with negligible overlap energy
-    give 0. Rows of a 2-D block come out bit-identical to 1-D calls.
-    """
-    ac = _ncc_lags(np.asarray(frames, dtype=np.float64), 0, max_lag)
-    return np.clip(ac, -1.0, 1.0, out=ac)
-
-
-def ncc_peak(
-    frames: np.ndarray, lo: int, hi: int, squares: np.ndarray | None = None
-) -> np.ndarray:
-    """Largest value of each row's ncc_frames curve over the lags lo..hi.
-
-    Only those lags are normalized, and the largest is clipped into [-1, 1]
-    after the max, which leaves the same bits as the max of the clipped
-    curve, since clipping is monotone. hi is cut as in ncc_frames and must
-    stay >= lo. squares, when given, is frames * frames, to share with the
+    1993); column j is lag lo + j. hi is cut so that at least _MIN_OVERLAP
+    samples overlap, and must stay >= lo. Values are clipped into [-1, 1];
+    lags with negligible overlap energy give 0. Each lag has the bits it has
+    in the curve over 0..hi, and rows of a 2-D block come out bit-identical
+    to 1-D calls. squares, when given, is frames * frames, to share with the
     caller's energy measure.
     """
-    peak = _ncc_lags(np.asarray(frames, dtype=np.float64), lo, hi, squares).max(axis=-1)
-    return np.clip(peak, -1.0, 1.0)
+    ac = _ncc_lags(np.asarray(frames, dtype=np.float64), lo, hi, squares)
+    return np.clip(ac, -1.0, 1.0, out=ac)
 
 
 def _ncc_lags(
@@ -174,10 +166,10 @@ def _ncc_lags(
 ) -> np.ndarray:
     """Unclipped normalized autocorrelation of x along its last axis, lags lo..hi.
 
-    The one NCC kernel behind ncc_frames and ncc_peak. The FFT runs at the
-    size of the full lag range 0..hi, so each lag keeps the bits it has in
-    the whole curve; only the lags lo..hi are divided by their overlap
-    energies. squares is x * x, computed here when not given.
+    The one NCC kernel behind ncc_frames. The FFT runs at the size of the
+    full lag range 0..hi, so each lag keeps the bits it has in the whole
+    curve; only the lags lo..hi are divided by their overlap energies.
+    squares is x * x, computed here when not given.
     """
     n = x.shape[-1]
     hi, nfft = _ncc_size(n, hi)
@@ -226,14 +218,15 @@ def ncc_block_rows(n: int, max_lag: int) -> int:
 
 
 def ncc_curve(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """ncc_frames of one window; a single 0 when the window is too short.
+    """ncc_frames of one window over lags 0..max_lag; a single 0 when the
+    window is too short.
 
     No pipeline path calls it; it stays for benchmarks/run.py (see the
     module docstring).
     """
     if min(max_lag, np.size(x) - _MIN_OVERLAP) < 1:
         return np.zeros(1)
-    return ncc_frames(x, max_lag)
+    return ncc_frames(x, 0, max_lag)
 
 
 # A periodic signal correlates equally at every multiple of its period, so
@@ -264,31 +257,33 @@ def _parabolic(y0: float, y1: float, y2: float) -> tuple[float, float] | None:
 def _pick_peaks(curves: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Best lag (parabolic-refined) and its strength within [lo, hi], per row.
 
-    curves is a (rows, lags) block of NCC curves and lo >= 1. A row's best
-    lag is its argmax over [lo, hi], or the shortest local maximum before it
-    within _OCTAVE_MARGIN of its value. Rows too short to reach lo give 0, 0.
+    curves is a (rows, lags) block of NCC curves whose column j is lag
+    lo - 1 + j, and lo >= 1. A row's best lag is its argmax over [lo, hi],
+    or the shortest local maximum before it within _OCTAVE_MARGIN of its
+    value. Rows too short to reach lo give 0, 0.
     """
     rows, size = curves.shape
-    hi = min(hi, size - 1)
-    if hi < lo:
+    # columns 1..top hold the lags lo..hi that the curves reach
+    top = min(hi - lo + 1, size - 1)
+    if top < 1:
         return np.zeros(rows), np.zeros(rows)
     row = np.arange(rows)
-    best = np.argmax(curves[:, lo : hi + 1], axis=1) + lo
+    best = np.argmax(curves[:, 1 : top + 1], axis=1) + 1
     strength = curves[row, best]
-    if hi > lo:
-        inner = curves[:, lo:hi]
+    if top > 1:
+        inner = curves[:, 1:top]
         ok = (
             (inner >= (strength - _OCTAVE_MARGIN)[:, None])
-            & (inner >= curves[:, lo - 1 : hi - 1])
-            & (inner >= curves[:, lo + 1 : hi + 1])
-            & (np.arange(lo, hi) < best[:, None])
+            & (inner >= curves[:, : top - 1])
+            & (inner >= curves[:, 2 : top + 1])
+            & (np.arange(1, top) < best[:, None])
         )
         hit = ok.any(axis=1)
-        best[hit] = lo + np.argmax(ok[hit], axis=1)
+        best[hit] = 1 + np.argmax(ok[hit], axis=1)
         strength = curves[row, best]
-    lag = best.astype(np.float64)
+    lag = (best + (lo - 1)).astype(np.float64)
     # parabolic refinement at interior peaks
-    mid, offset, _ = _parabolas(curves, np.flatnonzero((best > lo) & (best < hi)), best)
+    mid, offset, _ = _parabolas(curves, np.flatnonzero((best > 1) & (best < top)), best)
     lag[mid] += offset
     return lag, strength
 
@@ -332,15 +327,16 @@ def f0_frames(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(f0, strength) of each row of a (rows, n) block of analysis frames.
 
-    One ncc_frames call over the block, then one peak pick per row. f0 is
-    NaN where a row is unvoiced; strength is the row's best normalized
-    autocorrelation in the admissible lag range. Each row equals the
-    tests' oracles.py copy and f0_frames of that row alone.
+    One ncc_frames call over the block, at the lags lo-1..hi that the peak
+    pick reads, then one peak pick per row. f0 is NaN where a row is
+    unvoiced; strength is the row's best normalized autocorrelation in the
+    admissible lag range. Each row equals the tests' oracles.py copy and
+    f0_frames of that row alone.
     """
     lo, hi = pitch_lags(sample_rate, f0_floor, f0_ceiling)
     x = np.asarray(frames, dtype=np.float64)
     if x.shape[1] - _MIN_OVERLAP >= lo:
-        curves = ncc_frames(x, hi)
+        curves = ncc_frames(x, lo - 1, hi)
     else:  # no admissible lag has enough overlap
         curves = np.zeros((x.shape[0], 0))
     lag, strength = _pick_peaks(curves, lo, hi)
@@ -514,10 +510,10 @@ def harmonicity_frames(
     window. HNR = 10 log10(r / (1 - r)), clamped to [-20, +40] dB, where r
     is the parabolic-refined NCC peak within two lags of the pitch lag. None
     where the window is too short to evaluate its pitch lag. Windows of one
-    length and one FFT size share one ncc_frames call, at the largest lag
-    among them, which leaves each window's own lags with the same bits; each
-    result equals the tests' oracles.py copy and harmonicity_frames of its
-    window alone.
+    length and one FFT size share one ncc_frames call, over the lags from
+    one below the lowest to the largest among them, which leaves each
+    window's own lags with the same bits; each result equals the tests'
+    oracles.py copy and harmonicity_frames of its window alone.
     """
     f0 = np.asarray(f0, dtype=np.float64)
     if not (np.isfinite(f0).all() and (f0 > 0).all()):
@@ -532,15 +528,17 @@ def harmonicity_frames(
     for rows in groups.values():
         lo, hi = los[rows], his[rows]
         block = np.stack([np.asarray(frames[i], dtype=np.float64) for i in rows])
-        curves = ncc_frames(block, int(hi.max()))
-        lags = np.arange(curves.shape[1])
+        # from one lag below the lowest, where a peak's parabola may reach
+        base = int(lo.min()) - 1
+        curves = ncc_frames(block, base, int(hi.max()))
+        lags = np.arange(base, base + curves.shape[1])
         inside = (lags >= lo[:, None]) & (lags <= hi[:, None])
         idx = np.where(inside, curves, -np.inf).argmax(axis=1)
         r = curves[np.arange(len(rows)), idx]
         # fractional pitch lags push the true correlation peak between integer
         # lags; refine the peak value, where it lies inside the row's lags, or
         # a clean tone cannot reach the clamp
-        mid, _, peak = _parabolas(curves, np.flatnonzero(idx < hi), idx)
+        mid, _, peak = _parabolas(curves, np.flatnonzero(idx < hi - base), idx)
         r[mid] = peak
         for i, peak in zip(rows, r.tolist()):
             out[i] = _hnr_db(peak)

@@ -29,7 +29,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import acoustics
-from ._blocks import run_blocks
 from .audio_io import AudioClip
 from .config import RunConfig
 from .csvio import finite, read_csv, write_csv
@@ -124,11 +123,9 @@ class FeatureTable:
     )
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            key = (row.speaker_id, row.session)
-            if key in self._index:
-                raise DuplicateKeyError(f"duplicate row for {key}")
-            self._index[key] = row.features
+        rows, self.rows = self.rows, []
+        for row in rows:
+            self.add(row.speaker_id, row.session, row.features)
 
     def add(self, speaker_id: str, session: str, features: FeatureVector) -> None:
         if session not in SESSIONS:
@@ -180,41 +177,6 @@ def _span(size: int, rate: int, center: float, length_s: float) -> tuple[int, in
     return lo, min(lo + n, size)
 
 
-def _f0_tracks(x: np.ndarray, rate: int, spans: list[tuple[int, int]], cfg: RunConfig):
-    """Yield the F0 track of each x[lo:hi] span, one F0 per 25 ms subframe.
-
-    The subframes of every span are gathered from one strided view of the
-    clip and pitch-tracked acoustics.ncc_block_rows rows per f0_frames call
-    (62 of the 25 ms subframes), so the NCC working memory stays near
-    acoustics.NCC_BLOCK_BYTES, 1 MiB, however long the clip is; that budget
-    keeps a block inside the 4 MiB per-core L2 cache it was tuned on. Many
-    blocks are shared out over one thread per CPU (_blocks.run_blocks), one
-    block in flight per thread.
-    """
-    flen, hop, _ = acoustics.subframe_grid(0, rate)
-    counts = [acoustics.subframe_grid(hi - lo, rate)[2] for lo, hi in spans]
-    starts = np.array(
-        [lo + hop * i for (lo, _), count in zip(spans, counts) for i in range(count)], np.intp
-    )
-    f0 = np.empty(starts.size)
-    if starts.size:
-        frames = sliding_window_view(x, flen)
-        _, max_lag = acoustics.pitch_lags(rate, cfg.f0_floor, cfg.f0_ceiling)
-        rows = acoustics.ncc_block_rows(flen, max_lag)
-
-        def pitch(blocks: range) -> None:
-            for a in blocks:
-                block = frames[starts[a : a + rows]]
-                f0[a : a + rows], _ = acoustics.f0_frames(
-                    block, rate, cfg.f0_floor, cfg.f0_ceiling, cfg.voicing_threshold
-                )
-
-        run_blocks(pitch, range(0, starts.size, rows))
-    for count in counts:
-        yield acoustics.f0_track(f0[:count])
-        f0 = f0[count:]
-
-
 def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> Iterator[tuple]:
     """Yield (vowel, prosody, quality, spectral) for each stressed vowel.
 
@@ -222,13 +184,15 @@ def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> 
     Prosody and voice quality are measured over a prosody_window centered on
     the vowel, spectral measures over a spectral_window. A result is None
     when the clip edge cuts its window below one frame (prosody, quality)
-    or below the full window (spectral). The F0 subframes of all prosody
-    windows are pitch-tracked together, in blocks over the whole clip. Voice
-    quality and spectral measures then run over blocks of vowels, each
-    sized by acoustics.quality_block_rows to the NCC_BLOCK_BYTES budget (16
-    vowels at the defaults), so their working memory does not grow with the
-    clip. Each result equals the tests' oracles.py measurement of its window
-    and the same block functions called on that window alone.
+    or below the full window (spectral). Vowels are measured in blocks,
+    each sized by acoustics.quality_block_rows to the NCC_BLOCK_BYTES budget
+    (16 vowels at the defaults), so working memory does not grow with the
+    clip. For each block, the 25 ms F0 subframes of its prosody windows are
+    pitch-tracked acoustics.ncc_block_rows at a time (62 subframes at the
+    defaults); voice quality and spectral measures then run over the block.
+    Everything runs in the caller's thread. Each result equals the tests'
+    oracles.py measurement of its window and the same block functions
+    called on that window alone.
     """
     x = clip.samples
     rate = clip.sample_rate
@@ -243,13 +207,27 @@ def measure_vowels(clip: AudioClip, seg: SegmentationResult, cfg: RunConfig) -> 
         lo if hi - lo >= spectral_len else None
         for lo, hi in (_span(x.size, rate, v.center, cfg.spectral_window) for v in stressed)
     ]
-    tracks = _f0_tracks(x, rate, spans, cfg)
+    flen, hop, _ = acoustics.subframe_grid(0, rate)
+    _, max_lag = acoustics.pitch_lags(rate, cfg.f0_floor, cfg.f0_ceiling)
+    f0_rows = acoustics.ncc_block_rows(flen, max_lag)
     rows = acoustics.quality_block_rows(int(round(cfg.prosody_window * rate)), rate, cfg.f0_floor)
     for a in range(0, len(stressed), rows):
         block = range(a, min(a + rows, len(stressed)))
+        counts = [acoustics.subframe_grid(spans[i][1] - spans[i][0], rate)[2] for i in block]
+        starts = np.array(
+            [spans[i][0] + hop * k for i, count in zip(block, counts) for k in range(count)],
+            np.intp,
+        )
+        subframe_f0 = np.empty(starts.size)
+        for b in range(0, starts.size, f0_rows):
+            frames = sliding_window_view(x, flen)[starts[b : b + f0_rows]]
+            subframe_f0[b : b + f0_rows], _ = acoustics.f0_frames(
+                frames, rate, cfg.f0_floor, cfg.f0_ceiling, cfg.voicing_threshold
+            )
         prosody = {}
-        for i in block:
-            track = next(tracks)
+        for i, count in zip(block, counts):
+            track = acoustics.f0_track(subframe_f0[:count])
+            subframe_f0 = subframe_f0[count:]
             lo, hi = spans[i]
             if hi > lo:
                 intensity = acoustics.intensity_db(x[lo:hi])

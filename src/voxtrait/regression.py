@@ -410,7 +410,9 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson r; 0.0 when either side is constant (no linear association)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size or x.size < 2:
+    # max == min is the exact constant test: the centered sums of squares of
+    # a constant side can round to a tiny nonzero value
+    if x.size != y.size or x.size < 2 or x.max() == x.min() or y.max() == y.min():
         return 0.0
     xc = x - x.mean()
     yc = y - y.mean()

@@ -108,7 +108,7 @@ def _score_frames(frames: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.
     energy[audible] = np.maximum(
         10.0 * np.log10(mean_sq[audible]), acoustics.SILENCE_FLOOR_DB
     )
-    return energy, acoustics.ncc_peak(frames, lo, hi, sq)
+    return energy, acoustics.ncc_frames(frames, lo, hi, sq).max(axis=1)
 
 
 def analyze_frames(clip: AudioClip, cfg: RunConfig | None = None) -> FrameTrack:
@@ -116,8 +116,8 @@ def analyze_frames(clip: AudioClip, cfg: RunConfig | None = None) -> FrameTrack:
 
     Frames are cfg.frame_length long every cfg.frame_hop. Voicing strength
     is the peak normalized autocorrelation over the pitch lags of
-    cfg.f0_floor to cfg.f0_ceiling (acoustics.ncc_peak, which normalizes
-    those lags only, and shares the squared samples with the energy); a
+    cfg.f0_floor to cfg.f0_ceiling (acoustics.ncc_frames over those lags
+    only, sharing the squared samples with the energy); a
     frame is voiced when it reaches cfg.voicing_threshold. Digital silence
     scores 0 and lands at the -120 dB energy floor. Frames are strided views of the clip, scored
     acoustics.ncc_block_rows at a time (62 default frames), so a block's

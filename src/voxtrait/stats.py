@@ -28,6 +28,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .features import FEATURE_NAMES, FEATURE_SET, FeatureTable
+from .regression import _rescaled_std
 
 TRANSITIONS: tuple[str, ...] = ("1->2", "1->3", "2->3")
 _TRANSITION_SESSIONS = {"1->2": ("S1", "S2"), "1->3": ("S1", "S3"), "2->3": ("S2", "S3")}
@@ -69,11 +70,13 @@ def paired_t_test(a, b, alpha: float = max(RunConfig.alphas)) -> PairedTestResul
     if n < 2:
         raise InsufficientDataError(f"paired t-test needs >= 2 pairs, got {n}")
     d = xb - xa
-    sd = float(np.std(d, ddof=1))
     # max == min is the exact constant test: the sd of a constant shift can
     # round to a tiny nonzero value (19 shifts of 0.1 give 1.4e-17)
-    if sd == 0.0 or d.max() == d.min():
+    if d.max() == d.min():
         raise ZeroVarianceError("paired differences have zero variance")
+    sd = float(np.std(d, ddof=1))
+    if sd == 0.0:  # squared deviations underflow, as at about 1e-170
+        sd = float(_rescaled_std(d))
     mean = float(np.mean(d))
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * float(t_dist.sf(abs(t), n - 1))

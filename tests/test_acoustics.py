@@ -146,7 +146,7 @@ def test_ncc_frames_rows_equal_ncc_curve(rows):
     block = np.sin(2.0 * math.pi * f0 * t) + 0.3 * rng.standard_normal((rows, 276))
     block[0, 100:] = 0.0  # stretches without overlap energy give 0
     lo, hi = pitch_lags(RATE, 75.0, 500.0)
-    curves = ncc_frames(block, hi)
+    curves = ncc_frames(block, 0, hi)
     assert curves.shape == (rows, hi + 1)
     for row, curve in zip(block, curves):
         assert np.array_equal(curve, ncc_curve(row, hi))
@@ -154,8 +154,8 @@ def test_ncc_frames_rows_equal_ncc_curve(rows):
 
 def test_ncc_frames_cuts_the_lag_to_the_minimum_overlap():
     x = _sine(150.0, 0.01)  # 110 samples
-    assert ncc_frames(x, 500).shape == (110 - 8 + 1,)
-    assert np.array_equal(ncc_frames(x, 500), ncc_curve(x, 500))
+    assert ncc_frames(x, 0, 500).shape == (110 - 8 + 1,)
+    assert np.array_equal(ncc_frames(x, 0, 500), ncc_curve(x, 500))
 
 
 def test_pitch_lags():
@@ -414,16 +414,37 @@ def test_ncc_frames_and_pick_peak_equal_the_reference_copy(seed, rows, n, max_la
     # curves run shorter than lo = 23 when n or max_lag is small, and the
     # last hi lies past the curve end
     x = _windows(seed, rows, n, zeros)
-    curves = ncc_frames(x, max_lag)
+    curves = ncc_frames(x, 0, max_lag)
     assert np.array_equal(curves, oracles.ncc_frames(x, max_lag))
     block = np.atleast_2d(curves)
     for lo in (2, 3, 23):
         for hi in (lo + 1, 147, block.shape[1] + 3):
             want = [oracles._pick_peak(curve, lo, hi) for curve in block]
-            lags, strengths = _pick_peaks(block, lo, hi)
+            # _pick_peaks reads its curves from lag lo - 1 on
+            lags, strengths = _pick_peaks(block[:, lo - 1 :], lo, hi)
             assert list(zip(lags.tolist(), strengths.tolist())) == want
-            alone = [_pick_peaks(curve[None], lo, hi) for curve in block]
+            alone = [_pick_peaks(curve[None, lo - 1 :], lo, hi) for curve in block]
             assert [(lag.item(), strength.item()) for lag, strength in alone] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 63),
+    n=st.integers(9, 300),
+    lo=st.sampled_from([0, 1]) | st.integers(2, 160),
+    hi=st.integers(1, 320),
+    zeros=st.sampled_from(["none", "head", "tail", "rows"]),
+    squares=st.booleans(),
+)
+def test_ncc_frames_over_a_lag_range_equal_the_reference_copy(
+    seed, rows, n, lo, hi, zeros, squares
+):
+    # hi past n - _MIN_OVERLAP is cut there; lo is kept at or below the cut
+    lo = min(lo, hi, n - 8)
+    x = _windows(seed, rows, n, zeros)
+    got = ncc_frames(x, lo, hi, x * x if squares else None)
+    assert np.array_equal(got, oracles.ncc_frames(x, hi)[..., lo:])
 
 
 @settings(max_examples=60, deadline=None)

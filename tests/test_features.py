@@ -97,6 +97,12 @@ def test_table_key_discipline():
         FeatureTable(rows)
 
 
+def test_table_built_from_rows_checks_each_session():
+    rows = [TableRow("A", "S1", FeatureVector({})), TableRow("A", "S9", FeatureVector({}))]
+    with pytest.raises(InputError):
+        FeatureTable(rows)
+
+
 def test_table_built_from_rows_is_keyed():
     table = FeatureTable([TableRow("B", "S2", FeatureVector({"f2": 1.5})),
                           TableRow("A", "S1", FeatureVector({}))])
@@ -278,9 +284,10 @@ _SUBFRAME_ROWS = acoustics.ncc_block_rows(
 )
 
 
-# From 16 blocks (1023 to 1025 subframes, and 16 blocks less one subframe
-# and plus one) the blocks are shared out over two threads, and from 24
-# (24 blocks plus 5 subframes) over three.
+# 16 F0 blocks (1023 to 1025 subframes, and 16 blocks less one subframe and
+# plus one) and 24 (24 blocks plus 5 subframes): counts at which a
+# _blocks.run_blocks loop would share its blocks out over two and three
+# threads, where measure_vowels keeps every block in the caller's thread.
 _POOLED = 2 * _blocks.MIN_BLOCKS_PER_WORKER * _SUBFRAME_ROWS
 
 
@@ -296,6 +303,8 @@ def test_prosody_windows_across_block_boundaries(corpus, subframes, block_thread
     # subframe falls just before, at or just past the end of the first block;
     # plus one puts a block boundary inside a vowel unless a block holds a
     # multiple of 6 rows. The 1023 to 1025 subframes run over many blocks.
+    # F0 blocks start at each block of 16 vowels, whose 96 subframes put an
+    # F0 block boundary inside the 11th window (subframe 62).
     cfg = RunConfig()
     rate = cfg.sample_rate
     audio = np.concatenate([clip.samples for clip in _corpus_clips(corpus, every=6)])
@@ -313,7 +322,7 @@ def test_prosody_windows_across_block_boundaries(corpus, subframes, block_thread
     measured = _assert_prosody_windows_are_per_window(AudioClip(x, rate), seg, cfg)
     assert sum(len(m[1].f0_track) for m in measured) == subframes
     assert len(measured[-1][1].f0_track) == tail
-    assert block_threads.runs == block_threads.runs_for(-(-subframes // _SUBFRAME_ROWS))
+    assert block_threads.runs == 0  # measure_vowels hands no run to the pool
 
 
 def _measure_vowels_peak(audio: np.ndarray, minutes: int) -> int:
@@ -331,8 +340,8 @@ def _measure_vowels_peak(audio: np.ndarray, minutes: int) -> int:
 
 
 def test_measure_vowels_memory_does_not_grow_with_clip_length(corpus, monkeypatch):
-    # one F0 block at a time: with two or more threads the peak depends on
-    # whether their blocks happen to be in flight together
+    # one block at a time, as measure_vowels runs in the caller's thread;
+    # one worker also keeps segment_clip's frame analysis serial
     monkeypatch.setattr(_blocks, "_workers", 1)
     audio = np.concatenate([clip.samples for clip in _corpus_clips(corpus, every=1)])
     assert _measure_vowels_peak(audio, 8) < 1.25 * _measure_vowels_peak(audio, 2)
@@ -341,26 +350,27 @@ def test_measure_vowels_memory_does_not_grow_with_clip_length(corpus, monkeypatc
 def test_threaded_measure_vowels_memory_is_bounded_per_thread(
     corpus, monkeypatch, block_threads
 ):
-    # NCC_BLOCK_BYTES is a budget per thread: with one F0 block in flight
-    # per thread, each thread holds no more than the serial pass does (an F0
-    # block alone peaks near NCC_BLOCK_BYTES + 256 KiB, so a bound of one
-    # block per extra thread above the serial peak would leave no room)
+    # NCC_BLOCK_BYTES is a budget per thread: with block threads available,
+    # measure_vowels holds no more than threads times the serial pass does
+    # (an F0 block alone peaks near NCC_BLOCK_BYTES + 256 KiB, so a bound of
+    # one block per extra thread above the serial peak would leave no room)
     audio = np.concatenate([clip.samples for clip in _corpus_clips(corpus, every=1)])
     threads = _blocks._workers
     monkeypatch.setattr(_blocks, "_workers", 1)
     serial = _measure_vowels_peak(audio, 8)
     monkeypatch.setattr(_blocks, "_workers", threads)
     assert _measure_vowels_peak(audio, 8) <= threads * serial
-    # segment_clip's frame analysis and then the F0 blocks were shared out
-    assert block_threads.runs == 2 * (threads - 1)
+    # segment_clip's frame analysis was shared out, and measure_vowels hands
+    # no run to the pool
+    assert block_threads.runs == threads - 1
 
 
 def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):
     # The benchmark fingerprint records acoustics.ncc_curve_calls, which the
     # measured windows no longer make. The 25 ms subframes of the 80 ms
     # prosody windows (6 each) go through ncc_frames as one block for the
-    # clip, and the HNR of the windows as one more: their F0s all put the
-    # HNR NCC at one FFT size.
+    # clip's one vowel block, and the HNR of the windows as one more: their
+    # F0s all put the HNR NCC at one FFT size.
     rate = 11025
     rng = np.random.default_rng(4)
     silence = np.zeros(int(0.3 * rate))
@@ -381,10 +391,10 @@ def test_ncc_curve_calls_per_stressed_vowel(monkeypatch):
         calls.append(max_lag)
         return ncc_curve(x, max_lag)
 
-    def counting_frames(frames, max_lag):
+    def counting_frames(frames, lo, hi, squares=None):
         if np.ndim(frames) == 2:
             blocks.append(len(frames))
-        return ncc_frames(frames, max_lag)
+        return ncc_frames(frames, lo, hi, squares)
 
     monkeypatch.setattr(acoustics, "ncc_curve", counting_curve)
     monkeypatch.setattr(acoustics, "ncc_frames", counting_frames)

@@ -767,6 +767,20 @@ def test_train_model_fields_and_self_evaluation_identity():
     assert r_self == pytest.approx(model.train_r, abs=1e-9)
 
 
+def test_pearson_of_a_constant_side_is_zero():
+    # the centered copies of a constant need not cancel exactly: 29 copies of
+    # 4.504636963259353 left a residue that read as r = 5.1e-17
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal(29)
+    const = np.full(29, 4.504636963259353)
+    assert regression._pearson(const, y) == 0.0
+    assert regression._pearson(y, const) == 0.0
+    for n in range(3, 60):
+        c = np.full(n, rng.uniform(-100.0, 100.0))
+        z = rng.standard_normal(n)
+        assert regression._pearson(c, z) == 0.0 == regression._pearson(z, c)
+
+
 def test_cross_session_eval_sign_flip():
     table, ratings, _ = _toy_problem()
     model = train_model(table, ratings, "cooperative", "S1")

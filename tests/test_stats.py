@@ -100,6 +100,16 @@ def test_t_rejects_a_constant_shift_however_its_sd_rounds(shift):
         paired_t_test(a, a + shift)
 
 
+def test_t_of_differences_at_1e_170_scale_equals_the_unscaled_t():
+    # the squared deviations underflow, so np.std reads 0.0 for differences
+    # that vary; t does not depend on scale
+    a = np.zeros(19)
+    d = np.arange(19.0)
+    assert np.std(1e-170 * d, ddof=1) == 0.0
+    tiny = paired_t_test(a, 1e-170 * d)
+    assert tiny.statistic == pytest.approx(paired_t_test(a, d).statistic, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "a,b", [(1.0, 2.0), ([[1.0, 2.0, 3.0]], [[2.0, 4.0, 5.0]]), (np.ones((3, 1)), np.ones((3, 1)))]
 )
